@@ -174,11 +174,33 @@ def parse_args(argv=None):
     return parser.parse_args(argv)
 
 
+def stop_children() -> None:
+    """Stop and reap every process this run started.
+
+    ``real`` spawns its services with multiprocessing "spawn", which
+    also starts multiprocessing's resource tracker.  The tracker would
+    otherwise outlive this process by a moment; stopping it here closes
+    its pipe and waits for it to exit.
+    """
+    if "multiprocessing" not in sys.modules:
+        return
+    import multiprocessing
+    from multiprocessing import resource_tracker
+
+    for child in multiprocessing.active_children():
+        child.terminate()
+        child.join()
+    resource_tracker._resource_tracker._stop()
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     if args.workload is None:
         return run_all(args)
-    return run_one(args)
+    try:
+        return run_one(args)
+    finally:
+        stop_children()
 
 
 if __name__ == "__main__":

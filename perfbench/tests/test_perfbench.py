@@ -67,6 +67,31 @@ def test_real_workload_tiny(tmp_path):
     _assert_declared(result, "end_to_end")
 
 
+def _session_members(sid):
+    members = []
+    for stat in pathlib.Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:  # the process ended while we looked
+            continue
+        if int(fields[3]) == sid:
+            members.append(stat.parent.name)
+    return members
+
+
+@pytest.mark.real_backend
+def test_real_run_leaves_no_process_behind(tmp_path):
+    # The spawned services and multiprocessing's resource tracker must
+    # all be reaped before the run exits.
+    proc = subprocess.Popen(
+        [sys.executable, str(RUN), "--workload", "real", "--seed", "3",
+         "--seconds", "0", "--trace", "0", "--tiny"],
+        cwd=tmp_path, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True)
+    assert proc.wait(timeout=170) == 0
+    assert _session_members(proc.pid) == []
+
+
 def test_rerun_of_a_seed_reproduces_and_tampering_fails(tmp_path):
     code, first, _ = _run(tmp_path, "metro")
     assert code == 0 and first["correct"]

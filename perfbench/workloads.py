@@ -64,6 +64,9 @@ REFERENCE_S = 0.004
 #: slices of simulated time, each preceded by one timing.
 CLOCK_SLICES = 30
 
+#: Reference timings between consecutive deployment builds.
+SETUP_REFERENCES = 5
+
 
 # -- workload definitions -----------------------------------------------------
 
@@ -136,7 +139,7 @@ def metro(tiny: bool = False) -> SimWorkload:
 
     return SimWorkload(
         name="metro", duration_s=duration, think_s=0.5,
-        episodes=1 if tiny else 3, setup_repeats=5,
+        episodes=1 if tiny else 3, setup_repeats=15,
         params={"spec": "ScenarioSpec.metro", "n_edges": 4,
                 "clients_per_edge": 4, "federate": True, "n_places": 16,
                 "mean_dwell_s": 8.0, "handoff_latency_s": 0.05},
@@ -153,7 +156,7 @@ def city(tiny: bool = False) -> SimWorkload:
 
     return SimWorkload(
         name="city", duration_s=duration, think_s=30.0, episodes=1,
-        setup_repeats=5,
+        setup_repeats=15,
         params={"spec": "city_spec", "n_edges": n_edges,
                 "clients_per_edge": per_edge, "mean_dwell_s": 600.0,
                 "gc": "on"},
@@ -265,9 +268,32 @@ class HostClock:
                    / statistics.median(refs[max(0, i - 2):i + 3])
                    for i, wall in enumerate(self.walls))
 
-    def scale(self) -> float:
-        """Nominal seconds per host second, over the whole episode."""
-        return REFERENCE_S / statistics.median(self.references)
+
+def timed_builds(build: typing.Callable[[], ClusterDeployment],
+                 repeats: int) -> tuple[list, list, ClusterDeployment]:
+    """Build ``repeats`` deployments; returns the host and nominal-host
+    seconds of each build, and the last deployment.
+
+    Each build is scaled by the median of the :data:`SETUP_REFERENCES`
+    reference timings just before it and those just after it.  The
+    drive's references came too late for a build and, on ``city``, ran
+    beside a large heap: scaled by them, ``city``'s set-up spread 0.27
+    over ten seeds.
+    """
+    clock, n = HostClock(), SETUP_REFERENCES
+    clock.reference(n)
+    for _ in range(repeats):
+        deployment = None
+        gc.collect()
+        started = time.perf_counter()
+        deployment = build()
+        clock.walls.append(time.perf_counter() - started)
+        clock.reference(n)
+    refs = clock.references
+    nominal = [wall * REFERENCE_S
+               / statistics.median(refs[i * n:(i + 2) * n])
+               for i, wall in enumerate(clock.walls)]
+    return clock.walls, nominal, deployment
 
 
 def tail_s(latencies: np.ndarray) -> float:
@@ -376,23 +402,22 @@ def run_sim_episode(workload: SimWorkload, seed: int,
                     tracer: Tracer | None = None) -> Episode:
     """Build and drive one deployment; trace it when ``tracer`` is given."""
     spec, config = workload.build(seed)
-    setup_samples = []
-    for _ in range(workload.setup_repeats - 1 if tracer is None else 0):
-        gc.collect()
-        started = time.perf_counter()
-        ClusterDeployment(spec, config=config)
-        setup_samples.append(time.perf_counter() - started)
+
+    def build() -> ClusterDeployment:
+        return ClusterDeployment(spec, config=config)
+
+    if tracer is None:
+        setup_samples, nominal_setup_s, deployment = timed_builds(
+            build, workload.setup_repeats)
     gc.collect()
     instrumented = (instrument_sim(tracer) if tracer is not None
                     else contextlib.nullcontext())
     with instrumented:
-        started = time.perf_counter()
         if tracer is not None:
+            started = time.perf_counter()
             with tracer.span("cluster.build"):
-                deployment = ClusterDeployment(spec, config=config)
-        else:
-            deployment = ClusterDeployment(spec, config=config)
-        setup_samples.append(time.perf_counter() - started)
+                deployment = build()
+            setup_samples = [time.perf_counter() - started]
 
         issued = [0]
         make_task = deployment.recognition_task
@@ -450,7 +475,7 @@ def run_sim_episode(workload: SimWorkload, seed: int,
     if tracer is None:
         episode.wall_s = sum(clock.walls)
         episode.nominal_wall_s = clock.nominal_s()
-        episode.nominal_setup_s = [s * clock.scale() for s in setup_samples]
+        episode.nominal_setup_s = nominal_setup_s
     episode.violations = check_sim_episode(episode)
     if tracer is not None and tracer.counts["kernel.events"] != episode.events:
         episode.violations.append(
@@ -785,40 +810,41 @@ def check_real_episode(records, items) -> list[str]:
     return out
 
 
-#: Set-up samples a ``real`` run tops up to with one-request probes.
-REAL_SETUP_SAMPLES = 5
-#: Reference timings before each spawn (far fewer spawns than sim slices).
-REAL_REFERENCE_REPEATS = 10
+#: Fewest set-up samples a ``real`` run takes; probes fill the rest of
+#: the run's time on top.
+REAL_SETUP_SAMPLES = 9
 
 
 def run_real(workload: RealWorkload, seed: int, seconds: float) -> dict:
     """End-to-end run over spawned edge and cloud processes."""
     deadline = time.perf_counter() + seconds
-    episodes, durations, clock = [], [], HostClock()
+    episodes, durations = [], []
     while not durations or (time.perf_counter()
                             + statistics.median(durations) <= deadline):
         started = time.perf_counter()
-        clock.reference(REAL_REFERENCE_REPEATS)
         episodes.append(run_real_episode(workload, seed, "process"))
         durations.append(time.perf_counter() - started)
     setup = [ep.setup_s for ep in episodes]
     _, _, items = workload.build(seed)
     probe = [next(i for i in items if i.client == c)
              for c in dict.fromkeys(i.client for i in items)]
-    probes = []
-    while len(setup) < REAL_SETUP_SAMPLES:
+    probes, probe_s = [], []
+    while len(setup) < REAL_SETUP_SAMPLES or (
+            time.perf_counter() + statistics.median(probe_s) <= deadline):
         # Set-up samples only: spawn, warm, serve one request per client.
-        clock.reference(REAL_REFERENCE_REPEATS)
+        started = time.perf_counter()
         probes.append(run_real_episode(workload, seed, "process",
                                        items=probe))
+        probe_s.append(time.perf_counter() - started)
         setup.append(probes[-1].setup_s)
     rates = [ep.requests / ep.wall_s for ep in episodes]
     per_episode = [_latency_metrics(ep.latencies_s, ep.outcomes, ep.correct)
                    for ep in episodes]
-    # Spawning and warming processes is host work, so set-up is scaled;
-    # throughput is bound by the cloud shim's sleeps and is not.
+    # Host seconds, unscaled.  Spawning and warming processes does not
+    # follow the reference task: scaling by it doubled set-up's spread.
+    # Throughput is bound by the cloud shim's sleeps.
     metrics = {
-        "setup_s": statistics.median(setup) * clock.scale(),
+        "setup_s": statistics.median(setup),
         "req_per_s": statistics.median(rates),
         "peak_rss_mb": peak_rss_mb(),
         **{name: statistics.median(m[name] for m in per_episode)
