@@ -1,8 +1,8 @@
 """A7c — metro cluster throughput per cache configuration.
 
 End-to-end companion to ``bench_index_scaling``: drives the federated
-4-edge metro spec once per cache configuration (compatibility float64,
-fused float32, float32 IVF) and records simulated requests served per
+4-edge metro spec once per vector storage dtype (compatibility float64,
+fused float32) and records simulated requests served per
 second of host wall clock per core in
 ``BENCH_cluster_throughput.json``.
 """
@@ -41,7 +41,7 @@ def test_cluster_throughput(benchmark, smoke):
         assert row.mean_ms > 0.0
         assert row.lookup_batches > 0
 
-    # The tiers change host-side speed, not cluster behaviour: every
+    # The dtypes change host-side speed, not cluster behaviour: every
     # configuration completes the same closed-loop workload.
     requests = {r.requests for r in rows}
     assert max(requests) - min(requests) <= 0.02 * max(requests)
@@ -63,7 +63,6 @@ def test_cluster_throughput(benchmark, smoke):
         },
         "rows": [{
             "config": r.label,
-            "vector_index": r.vector_index,
             "vector_dtype": r.vector_dtype,
             "requests": r.requests,
             "build_s": r.build_s,

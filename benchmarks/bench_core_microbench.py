@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.core.cache import ICCache
 from repro.core.descriptors import HashDescriptor, VectorDescriptor
-from repro.core.index import LinearIndex, LshIndex
+from repro.core.index import LinearIndex
 from repro.net import Link, Message
 from repro.render.mesh import generate_mesh, pack_rmsh, unpack_rmsh
 from repro.sim import Environment
@@ -54,17 +54,6 @@ def test_linear_index_query_5k(benchmark):
         "r", SPACE.observe(123, 0.05, noise_key=99_999).vector)
     result = benchmark(index.query, probe, 0.2)
     assert result is not None
-
-
-def test_lsh_index_query_5k(benchmark):
-    index = LshIndex(dim=128)
-    for cls in range(1000):
-        for k in range(5):
-            vec = SPACE.observe(cls, 0.1 * k, noise_key=cls * 10 + k).vector
-            index.insert(cls * 10 + k, VectorDescriptor("r", vec))
-    probe = VectorDescriptor(
-        "r", SPACE.observe(123, 0.05, noise_key=99_999).vector)
-    benchmark(index.query, probe, 0.2)
 
 
 def test_embedding_observation(benchmark):
@@ -121,19 +110,3 @@ def test_linear_index_query_batch_64_of_5k(benchmark):
         for cls in range(64)]
     results = benchmark(index.query_batch, probes, 0.2)
     assert sum(r is not None for r in results) >= 32
-
-
-def test_lsh_index_insert_1k(benchmark):
-    """Insert-heavy workload: matmul signatures, no per-bit loop."""
-    descriptors = [VectorDescriptor(
-        "r", SPACE.observe(cls, 0.0, noise_key=cls).vector)
-        for cls in range(1000)]
-
-    def build():
-        index = LshIndex(dim=128)
-        for entry_id, descriptor in enumerate(descriptors):
-            index.insert(entry_id, descriptor)
-        return index
-
-    index = benchmark(build)
-    assert len(index) == 1000

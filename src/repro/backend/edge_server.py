@@ -53,7 +53,7 @@ class EdgeService:
         payload: JSON-safe construction dict (see
             ``runner.build_edge_payload``): ``name``, ``recognition``
             (embedding geometry + threshold), ``cache`` (capacity,
-            policy, index tier, dtype, ttl), ``warm_classes``,
+            policy, metric, dtype, ttl), ``warm_classes``,
             ``admission``/``queue_limit`` (overload policy),
             ``cloud`` (host/port of the cloud stub, or None),
             ``extraction_s`` (optional edge-compute sleep shim).
@@ -77,9 +77,7 @@ class EdgeService:
         self.cache = ICCache(
             capacity_bytes=int(cache["capacity_bytes"]),
             policy=make_policy(cache["policy"]),
-            vector_index=cache["vector_index"],
             metric=cache["metric"],
-            descriptor_dim=int(rec["descriptor_dim"]),
             ttl_s=cache.get("ttl_s"),
             vector_dtype=cache.get("vector_dtype", "float64"))
         for cls in payload.get("warm_classes", ()):

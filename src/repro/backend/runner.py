@@ -100,12 +100,10 @@ def build_edge_payload(spec: "ScenarioSpec", edge_name: str,
     """The JSON-safe construction dict for one edge's EdgeService."""
     espec = next(e for e in spec.edges if e.name == edge_name)
     rec = config.recognition
-    vector_index = config.cache.vector_index
     vector_dtype = config.cache.vector_dtype
     admission = "none"
     queue_limit = None
     if spec.policy is not None:
-        vector_index = spec.policy.vector_index or vector_index
         vector_dtype = spec.policy.vector_dtype or vector_dtype
         admission = spec.policy.admission
         queue_limit = spec.policy.queue_limit
@@ -129,7 +127,6 @@ def build_edge_payload(spec: "ScenarioSpec", edge_name: str,
                                if espec.cache_mb is not None
                                else config.cache.capacity_bytes),
             "policy": config.cache.policy,
-            "vector_index": vector_index,
             "metric": config.cache.metric,
             "ttl_s": config.cache.ttl_s,
             "vector_dtype": vector_dtype,

@@ -5,8 +5,8 @@ The cooperative immersive-computing framework, assembled from:
 * :mod:`~repro.core.descriptors` — feature descriptors: vectors for DNN
   recognition (threshold matching), content hashes for 3D models and
   panoramas (exact matching).
-* :mod:`~repro.core.index` — descriptor indexes: exact table, linear ANN
-  scan, and hyperplane-LSH ANN.
+* :mod:`~repro.core.index` — descriptor indexes: an exact hash table
+  and an exact fused linear scan over vector kinds.
 * :mod:`~repro.core.cache` / :mod:`~repro.core.policies` — the edge IC
   cache with byte-capacity enforcement and pluggable eviction.
 * :mod:`~repro.core.client` / :mod:`~repro.core.edge` /
@@ -57,7 +57,7 @@ from repro.core.config import (
 from repro.core.descriptors import Descriptor, HashDescriptor, VectorDescriptor
 from repro.core.distance import get_metric
 from repro.core.framework import CoICDeployment
-from repro.core.index import ExactIndex, LinearIndex, LshIndex, make_index
+from repro.core.index import ExactIndex, LinearIndex
 from repro.core.metrics import MetricsRecorder, RequestRecord
 from repro.core.policies import (
     FifoPolicy,
@@ -104,7 +104,6 @@ __all__ = [
     "LfuPolicy",
     "LinearIndex",
     "LruPolicy",
-    "LshIndex",
     "MetricsRecorder",
     "ModelLoadTask",
     "NetworkConfig",
@@ -119,6 +118,5 @@ __all__ = [
     "VrConfig",
     "get_metric",
     "load_spec",
-    "make_index",
     "make_policy",
 ]

@@ -5,7 +5,9 @@ vector descriptors match under a per-kind distance threshold, hash
 descriptors match exactly.  Each descriptor *kind* gets its own index —
 recognition vectors never collide with model hashes — while all kinds
 share one byte budget under one eviction policy, because they share the
-edge box's memory.
+edge box's memory.  Hash kinds get an exact hash table; vector kinds of
+one dimension share one exact fused scan, so a mixed-kind lookup burst
+is one stacked matmul.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from repro.core.index import (
     FusedLinearCore,
     SketchSummary,
     _FusedKindView,
-    make_index,
 )
 from repro.core.policies import EvictionPolicy, LruPolicy, TtlPolicy
 
@@ -117,13 +118,7 @@ class ICCache:
             "simple cache management policy").
         default_threshold: Vector-match threshold when the caller does not
             pass one explicitly.
-        vector_index: Spec for vector-kind indexes ("linear", "lsh",
-            "lsh:T:B", "ivf", "ivf:K:P") — hash kinds always use the
-            exact index.  Under "linear", all vector kinds of one
-            dimension share a :class:`~repro.core.index.FusedLinearCore`,
-            so a mixed-kind lookup burst is one stacked matmul.
         metric: Distance metric for vector indexes.
-        descriptor_dim: Vector dimension (needed to pre-build LSH planes).
         ttl_s: Optional lifetime; expired entries never hit and are purged
             lazily.
         vector_dtype: Storage dtype for vector indexes ("float32"
@@ -134,9 +129,7 @@ class ICCache:
     def __init__(self, capacity_bytes: int,
                  policy: EvictionPolicy | None = None,
                  default_threshold: float = 0.1,
-                 vector_index: str = "linear",
                  metric: str = "cosine",
-                 descriptor_dim: int = 128,
                  ttl_s: float | None = None,
                  vector_dtype: str = DEFAULT_DTYPE):
         if capacity_bytes <= 0:
@@ -153,14 +146,12 @@ class ICCache:
         self.default_threshold = default_threshold
         self.ttl_s = ttl_s
         self.stats = CacheStats()
-        self._vector_index_spec = vector_index
         self._metric = metric
-        self._descriptor_dim = descriptor_dim
         self.vector_dtype = vector_dtype
         self._entries: dict[int, CacheEntry] = {}
         self._indexes: dict[str, DescriptorIndex] = {}
-        #: One fused linear core per vector dimension ("linear" spec
-        #: only); every vector kind of that dim is a view into it.
+        #: One fused linear core per vector dimension; every vector
+        #: kind of that dim is a view into it.
         self._fused_cores: dict[int, FusedLinearCore] = {}
         #: Per-vector-kind affinity sketches, maintained incrementally on
         #: every insert/drop; snapshot with :meth:`summary` for gossip.
@@ -240,10 +231,9 @@ class ICCache:
                   descriptor: Descriptor | None = None) -> DescriptorIndex:
         """The per-kind index, created on first use.
 
-        Hash kinds get an :class:`ExactIndex`.  Under the "linear" spec
-        a vector kind gets a view into the per-dimension fused core (one
-        stacked matmul covers every kind of that dim); other specs get a
-        dedicated index per kind.
+        Hash kinds get an :class:`ExactIndex`; a vector kind gets a view
+        into the per-dimension fused core (one stacked matmul covers
+        every kind of that dim).
         """
         index = self._indexes.get(kind)
         if index is None:
@@ -251,38 +241,24 @@ class ICCache:
                 raise KeyError(f"no index for kind {kind!r} yet")
             if isinstance(descriptor, HashDescriptor):
                 index = ExactIndex()
-            elif self._vector_index_spec == "linear":
-                dim = descriptor.dim
-                core = self._fused_cores.get(dim)
-                if core is None:
-                    core = self._fused_cores[dim] = FusedLinearCore(
-                        metric=self._metric, dtype=self.vector_dtype)
-                index = core.view(kind)
             else:
-                index = make_index(self._vector_index_spec,
-                                   dim=self._descriptor_dim,
-                                   metric=self._metric,
-                                   dtype=self.vector_dtype)
+                core = self._fused_cores.get(descriptor.dim)
+                if core is None:
+                    core = FusedLinearCore(metric=self._metric,
+                                           dtype=self.vector_dtype)
+                    self._fused_cores[descriptor.dim] = core
+                index = core.view(kind)
             self._indexes[kind] = index
         return index
 
     def index_memory_bytes(self) -> int:
         """Allocated bytes across all vector index storage.
 
-        Fused views share one core per dimension; the core is counted
+        Fused views share one core per dimension; each core is counted
         once, not once per kind.
         """
-        seen: set[int] = set()
-        total = 0
-        for index in self._indexes.values():
-            target = getattr(index, "_core", index)
-            if id(target) in seen:
-                continue
-            seen.add(id(target))
-            memory = getattr(target, "memory_bytes", None)
-            if memory is not None:
-                total += memory()
-        return total
+        return sum(core.memory_bytes()
+                   for core in self._fused_cores.values())
 
     # -- operations ---------------------------------------------------------------
 
@@ -314,9 +290,9 @@ class ICCache:
         Returns one entry-or-None per descriptor, in input order, with
         match decisions, stats, and policy updates identical to the
         equivalent sequence of :meth:`lookup` calls.  Descriptors may
-        mix kinds; kinds sharing a fused linear core are answered by
-        one stacked cross-kind matmul
-        (:meth:`~repro.core.index.FusedLinearCore.query_multi`), other
+        mix kinds; vector kinds sharing a fused linear core are answered
+        by one stacked cross-kind matmul
+        (:meth:`~repro.core.index.FusedLinearCore.query_multi`), hash
         kinds by one
         :meth:`~repro.core.index.DescriptorIndex.query_batch` each.
         ``thresholds`` gives a per-descriptor match threshold (None
@@ -377,11 +353,11 @@ class ICCache:
                        ) -> list[tuple[int, float] | None]:
         """Raw index answers for a batch, in input order.
 
-        Kinds whose index is a view into a shared
-        :class:`~repro.core.index.FusedLinearCore` are gathered across
-        kinds and answered by one ``query_multi`` (one stacked matmul
-        per core); everything else groups by ``(kind, threshold)`` and
-        answers through ``query_batch``.
+        Vector kinds are views into a shared
+        :class:`~repro.core.index.FusedLinearCore`; they are gathered
+        across kinds and answered by one ``query_multi`` (one stacked
+        matmul per core).  Hash kinds group by ``(kind, threshold)`` and
+        answer through ``query_batch``.
         """
         matches: list[tuple[int, float] | None] = [None] * len(descriptors)
         fused: dict[int, tuple[FusedLinearCore, list[int]]] = {}
@@ -481,7 +457,7 @@ class ICCache:
         Capacity accounting, eviction order, stats and the resulting
         entry set match the equivalent sequence of :meth:`insert` calls,
         but per-kind *index* insertions are batched — a warm-up flood of
-        vector descriptors costs one signature matmul
+        vector descriptors costs one store append
         (:meth:`~repro.core.index.DescriptorIndex.insert_batch`) instead
         of one per entry.  Pending index insertions are flushed before
         any eviction, so victims are always present in their index; if

@@ -370,12 +370,10 @@ class ClusterDeployment(DeploymentDriverMixin):
             neighbours[lspec.a].append(lspec.b)
             neighbours[lspec.b].append(lspec.a)
 
-        # Scenario policy may override the deployment's index tier /
-        # storage dtype for every edge cache (empty string = inherit).
-        vector_index = cfg.cache.vector_index
+        # Scenario policy may override the deployment's storage dtype
+        # for every edge cache (empty string = inherit).
         vector_dtype = cfg.cache.vector_dtype
         if spec.policy is not None:
-            vector_index = spec.policy.vector_index or vector_index
             vector_dtype = spec.policy.vector_dtype or vector_dtype
 
         self.edges: list[EdgeNode] = []
@@ -387,9 +385,7 @@ class ClusterDeployment(DeploymentDriverMixin):
                                 if espec.cache_mb is not None
                                 else cfg.cache.capacity_bytes),
                 policy=make_policy(cfg.cache.policy),
-                vector_index=vector_index,
                 metric=cfg.cache.metric,
-                descriptor_dim=rec.descriptor_dim,
                 ttl_s=cfg.cache.ttl_s,
                 vector_dtype=vector_dtype)
             self.caches.append(cache)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.core.index import STORE_DTYPES
+
 
 @dataclasses.dataclass
 class NetworkConfig:
@@ -164,7 +166,6 @@ class CacheConfig:
 
     capacity_mb: float = 2048.0
     policy: str = "lru"
-    vector_index: str = "linear"
     metric: str = "cosine"
     ttl_s: float | None = None
     #: Fixed edge-side bookkeeping time charged per insert.
@@ -181,9 +182,9 @@ class CacheConfig:
             raise ValueError("capacity_mb must be > 0")
         if self.insert_ms < 0:
             raise ValueError("insert_ms must be >= 0")
-        if self.vector_dtype not in ("float32", "float64", "int8"):
+        if self.vector_dtype not in STORE_DTYPES:
             raise ValueError(
-                f"vector_dtype must be float32/float64/int8, "
+                f"vector_dtype must be one of {STORE_DTYPES}, "
                 f"got {self.vector_dtype!r}")
 
     @property

@@ -1,19 +1,16 @@
 """Descriptor indexes: how the edge finds "a result close enough".
 
-Four implementations behind one interface:
+Two lookup paths behind one interface:
 
 * :class:`ExactIndex` — hash table for :class:`HashDescriptor` keys
   (3D models, panoramas).  O(1) lookups.
-* :class:`LinearIndex` — vectorized scan over all stored vectors.  Exact
-  nearest-neighbour; cost grows linearly with occupancy.
-* :class:`LshIndex` — random-hyperplane locality-sensitive hashing.
-  Sub-linear candidate sets at the price of missed borderline matches;
-  the index-scaling ablation quantifies the trade.
-* :class:`IvfIndex` — inverted-file coarse quantizer: k-means centroids
-  over the stored vectors, an ``nprobe``-wide probe list per query, and
-  exact re-ranking of the probed cells' members.  The million-entry
-  tier: per-query work grows with ``K + n * nprobe / K`` instead of
-  ``n``.
+* :class:`FusedLinearCore` — exact nearest-neighbour scan over every
+  vector kind of one dimension, kept in one kind-clustered store.  Each
+  kind sees a :class:`_FusedKindView`; cost grows linearly with that
+  kind's occupancy.  This is the only vector index the cache builds.
+
+:class:`LinearIndex` is the same exact scan over a single kind.  It is
+the reference the fused core is checked and benchmarked against.
 
 Storage layout
 ==============
@@ -45,11 +42,9 @@ distance) | None`` per descriptor, **in input order**, with the same
 match decisions the equivalent sequence of ``query`` calls would make
 (``query`` itself is implemented as a batch of one, so both paths share
 one arithmetic pipeline).  An empty input returns an empty list.  The
-:class:`LinearIndex` form is one all-pairs BLAS call; the
-:class:`LshIndex` form computes every table signature of every query in
-one ``(Q, n_tables*n_bits)`` matmul with vectorized bit-packing (no
-per-bit Python loop) and re-ranks per-query candidate sets against the
-shared matrix/norm cache.
+:class:`LinearIndex` form is one all-pairs BLAS call; the fused core
+answers a mixed-kind burst with one matmul per queried kind segment
+(:meth:`FusedLinearCore.query_multi`).
 
 Lookup pricing
 ==============
@@ -57,10 +52,9 @@ Each index also *prices* its lookups so the edge node can charge
 simulated time proportional to the real data-structure work — the cache
 is not free, and the miss-overhead bars of Figure 2 include it.
 ``lookup_cost_s()`` is a stateless *a-priori* estimate at current
-occupancy (for LSH: expected candidates under uniform bucket loading —
-it does **not** depend on what the previous query happened to touch),
-while ``last_query_cost_s`` records the realized cost of the most recent
-query atomically with that query.
+occupancy (it does **not** depend on what the previous query happened
+to touch), while ``last_query_cost_s`` records the realized cost of the
+most recent query atomically with that query.
 
 Affinity sketches
 =================
@@ -313,14 +307,6 @@ class _VectorStore:
         return np.fromiter((self._row_of[i] for i in entry_ids),
                            dtype=np.intp, count=len(entry_ids))
 
-    def get(self, entry_id: int) -> np.ndarray:
-        """The stored vector (a copy) for ``entry_id``."""
-        return np.array(self._matrix[self._row_of[entry_id]])
-
-    def take(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(vectors, norms)`` of the given rows, in row order."""
-        return self._matrix[rows], self._norms[rows]
-
     def distances(self, metric_batch, queries: np.ndarray,
                   lo: int = 0, hi: int | None = None) -> np.ndarray:
         """(Q, hi - lo) distances of a query block against rows [lo, hi).
@@ -495,20 +481,11 @@ class _QuantizedVectorStore:
         return np.fromiter((self._row_of[i] for i in entry_ids),
                            dtype=np.intp, count=len(entry_ids))
 
-    def get(self, entry_id: int) -> np.ndarray:
-        """The stored (dequantized) vector for ``entry_id``."""
-        return self._dequant(np.array([self._row_of[entry_id]],
-                                      dtype=np.intp))[0]
-
     def _dequant(self, rows: np.ndarray) -> np.ndarray:
         out = self._codes[rows].astype(np.float32)
         out *= self._scales[rows, None]
         out += self._offsets[rows, None]
         return out
-
-    def take(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._dequant(np.asarray(rows, dtype=np.intp)), \
-            self._norms[rows]
 
     def distances(self, metric_batch, queries: np.ndarray,
                   lo: int = 0, hi: int | None = None) -> np.ndarray:
@@ -654,7 +631,7 @@ class DescriptorIndex:
         Equivalent to inserting them one by one, but atomic — a
         validation failure leaves the index untouched — and vectorized
         where the index can amortize work across the burst: the vector
-        indexes compute one signature matmul for the whole batch.
+        indexes append the whole batch to their store in one copy.
         """
         done: list[int] = []
         try:
@@ -703,7 +680,8 @@ class ExactIndex(DescriptorIndex):
     PROBE_COST_S = 2e-5
 
     def __init__(self):
-        self._by_digest: dict[str, int] = {}
+        #: Live entry ids per digest, oldest first.
+        self._by_digest: dict[str, list[int]] = {}
         self._by_entry: dict[int, str] = {}
         self.last_query_cost_s: float | None = None
 
@@ -712,16 +690,18 @@ class ExactIndex(DescriptorIndex):
             raise TypeError("ExactIndex stores HashDescriptor keys")
         if entry_id in self._by_entry:
             raise IndexEntryExists(f"entry {entry_id} already indexed")
-        # Last write wins for duplicate digests: the newer entry supersedes
-        # the older one, which the cache evicts independently.
-        self._by_digest[descriptor.digest] = entry_id
+        # Last write wins for duplicate digests: queries answer the newest
+        # live entry, and removing it falls back to the next newest.
+        self._by_digest.setdefault(descriptor.digest, []).append(entry_id)
         self._by_entry[entry_id] = descriptor.digest
 
     def remove(self, entry_id: int) -> None:
         digest = self._by_entry.pop(entry_id, None)
         if digest is None:
             raise KeyError(f"entry {entry_id} not in index")
-        if self._by_digest.get(digest) == entry_id:
+        ids = self._by_digest[digest]
+        ids.remove(entry_id)
+        if not ids:
             del self._by_digest[digest]
 
     def query(self, descriptor: Descriptor,
@@ -729,10 +709,10 @@ class ExactIndex(DescriptorIndex):
         if not isinstance(descriptor, HashDescriptor):
             raise TypeError("ExactIndex queries need HashDescriptor keys")
         self.last_query_cost_s = self.PROBE_COST_S
-        entry_id = self._by_digest.get(descriptor.digest)
-        if entry_id is None:
+        ids = self._by_digest.get(descriptor.digest)
+        if ids is None:
             return None
-        return entry_id, 0.0
+        return ids[-1], 0.0
 
     def lookup_cost_s(self) -> float:
         return self.PROBE_COST_S
@@ -858,566 +838,6 @@ class LinearIndex(DescriptorIndex):
                 f"dimension mismatch: index is {self._store.dim}-d, "
                 f"descriptor is {vec.shape[0]}-d")
         return vec
-
-
-class LshIndex(DescriptorIndex):
-    """Random-hyperplane LSH with exact re-ranking of candidates.
-
-    All hyperplanes live in one ``(n_tables * n_bits, dim)`` matrix, so
-    the signatures of a query batch are a single matmul followed by
-    vectorized bit-packing — no per-bit Python loop anywhere.  Candidate
-    re-ranking reuses the shared :class:`_VectorStore` matrix and its
-    cached norms.
-
-    Recall floor: on near-duplicate workloads (query within a small
-    perturbation of a stored vector) the default configuration holds
-    recall >= 0.8 against :class:`LinearIndex` ground truth; the A7
-    index-scaling bench and ``tests/property`` enforce this floor.
-
-    Args:
-        metric: Distance for candidate re-ranking (angles: use cosine).
-        n_tables: Independent hash tables; more tables -> higher recall.
-        n_bits: Hyperplanes per table (max 62, so a signature fits an
-            int64 for vectorized packing); more bits -> smaller buckets.
-        dim: Vector dimension (hyperplanes are drawn eagerly).
-        seed: Hyperplane seed, fixed for reproducibility.
-    """
-
-    BASE_COST_S = 6e-5
-    PER_CANDIDATE_COST_S = 2.5e-7
-    PER_TABLE_COST_S = 2e-6
-
-    def __init__(self, dim: int, metric: str = "cosine", n_tables: int = 8,
-                 n_bits: int = 12, seed: int = 7,
-                 dtype: str = DEFAULT_DTYPE):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        if n_tables < 1 or n_bits < 1:
-            raise ValueError("n_tables and n_bits must be >= 1")
-        if n_bits > 62:
-            raise ValueError("n_bits must be <= 62 (signature is an int64)")
-        self.metric_name = metric
-        self.dtype = dtype
-        self._metric = get_metric(metric)
-        self.dim = dim
-        self.n_tables = n_tables
-        self.n_bits = n_bits
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-            [seed, dim, n_tables, n_bits])))
-        # All hyperplane normals as one (n_tables * n_bits, dim) block;
-        # row t*n_bits + b is bit b of table t.
-        self._planes = np.ascontiguousarray(
-            rng.normal(size=(n_tables, n_bits, dim)).reshape(
-                n_tables * n_bits, dim))
-        # MSB-first weights: bit b of a table carries 2**(n_bits - 1 - b).
-        self._bit_weights = (1 << np.arange(n_bits - 1, -1, -1,
-                                            dtype=np.int64))
-        self._tables: list[dict[int, set[int]]] = [
-            {} for _ in range(n_tables)]
-        self._store = _make_store(dtype)
-        self.last_candidates = 0
-        self.last_query_cost_s: float | None = None
-
-    def _signatures_batch(self, queries: np.ndarray) -> np.ndarray:
-        """Bucket keys of a (Q, dim) block; (Q, n_tables) int64 matrix."""
-        projections = queries @ self._planes.T
-        bits = projections.reshape(
-            queries.shape[0], self.n_tables, self.n_bits) > 0
-        return bits @ self._bit_weights
-
-    def _signatures(self, vec: np.ndarray) -> np.ndarray:
-        """Bucket key of ``vec`` in each table (sign pattern as an int)."""
-        return self._signatures_batch(vec[None, :])[0]
-
-    def insert(self, entry_id: int, descriptor: Descriptor) -> None:
-        vec = self._validate(descriptor)
-        if entry_id in self._store:
-            raise IndexEntryExists(f"entry {entry_id} already indexed")
-        self._store.add(entry_id, vec)
-        # Signatures come from the *stored* representation so that
-        # remove() (which only has the store) recomputes the same
-        # buckets — this matters for the int8 store, where the stored
-        # row is the dequantized approximation, not the input.
-        stored = self._store.get(entry_id)
-        for table, sig in enumerate(self._signatures(stored)):
-            self._tables[table].setdefault(int(sig), set()).add(entry_id)
-
-    def insert_batch(self, items: typing.Sequence[
-            tuple[int, Descriptor]]) -> None:
-        """Insert a burst with ONE signature matmul for all entries.
-
-        A warm-up flood or federation sync of k vectors costs one
-        ``(k, n_tables * n_bits)`` projection instead of k small ones,
-        plus a single store append.
-        """
-        ids: list[int] = []
-        vecs: list[np.ndarray] = []
-        seen: set[int] = set()
-        for entry_id, descriptor in items:
-            if entry_id in self._store or entry_id in seen:
-                raise IndexEntryExists(f"entry {entry_id} already indexed")
-            seen.add(entry_id)
-            ids.append(entry_id)
-            vecs.append(self._validate(descriptor))
-        if not ids:
-            return
-        block = np.stack(vecs)
-        self._store.add_batch(ids, block)
-        # Stored representation, as in insert() (int8 store quantizes).
-        stored_block, _ = self._store.take(self._store.rows_for(ids))
-        signatures = self._signatures_batch(stored_block)
-        for j, entry_id in enumerate(ids):
-            for table in range(self.n_tables):
-                self._tables[table].setdefault(
-                    int(signatures[j, table]), set()).add(entry_id)
-
-    def remove(self, entry_id: int) -> None:
-        if entry_id not in self._store:
-            raise KeyError(f"entry {entry_id} not in index")
-        vec = self._store.get(entry_id)
-        self._store.remove(entry_id)
-        for table, sig in enumerate(self._signatures(vec)):
-            bucket = self._tables[table].get(int(sig))
-            if bucket is not None:
-                bucket.discard(entry_id)
-                if not bucket:
-                    del self._tables[table][int(sig)]
-
-    def query(self, descriptor: Descriptor,
-              threshold: float) -> tuple[int, float] | None:
-        return self.query_batch([descriptor], threshold)[0]
-
-    def query_batch(self, descriptors: typing.Sequence[Descriptor],
-                    threshold: float) -> list[tuple[int, float] | None]:
-        vecs = [self._validate(d) for d in descriptors]
-        if not vecs:
-            return []
-        signatures = self._signatures_batch(np.stack(vecs))
-        results: list[tuple[int, float] | None] = []
-        total_candidates = 0
-        for q, vec in enumerate(vecs):
-            candidates: set[int] = set()
-            for table in range(self.n_tables):
-                candidates |= self._tables[table].get(
-                    int(signatures[q, table]), _EMPTY_BUCKET)
-            self.last_candidates = len(candidates)
-            total_candidates += len(candidates)
-            if not candidates:
-                results.append(None)
-                continue
-            ids = list(candidates)
-            cand_matrix, cand_norms = self._store.take(
-                self._store.rows_for(ids))
-            distances = self._metric(cand_matrix, vec,
-                                     row_norms=cand_norms)
-            best = int(np.argmin(distances))
-            best_distance = float(distances[best])
-            if best_distance <= threshold:
-                results.append((ids[best], best_distance))
-            else:
-                results.append(None)
-        self.last_query_cost_s = self._price(total_candidates / len(vecs))
-        return results
-
-    def _price(self, n_candidates: float) -> float:
-        return (self.BASE_COST_S
-                + self.PER_TABLE_COST_S * self.n_tables
-                + self.PER_CANDIDATE_COST_S * n_candidates)
-
-    def lookup_cost_s(self) -> float:
-        """Expected per-query cost at current occupancy.
-
-        Prices the *expected* candidate-set size under uniform bucket
-        loading (``n_tables * n / 2**n_bits``, capped at occupancy), so
-        the estimate is stateless — unlike pricing from the previous
-        query's candidates, it cannot under-charge the first lookup
-        after construction.
-        """
-        return self._price(self._expected_candidates())
-
-    def _expected_candidates(self) -> float:
-        n = len(self._store)
-        if n == 0:
-            return 0.0
-        return min(float(n), self.n_tables * n / float(2 ** self.n_bits))
-
-    def memory_bytes(self) -> int:
-        """Allocated storage bytes (store arrays + hyperplanes)."""
-        return self._store.memory_bytes() + self._planes.nbytes
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def _validate(self, descriptor: Descriptor) -> np.ndarray:
-        if not isinstance(descriptor, VectorDescriptor):
-            raise TypeError("LshIndex stores VectorDescriptor keys")
-        if descriptor.dim != self.dim:
-            raise ValueError(
-                f"dimension mismatch: index is {self.dim}-d, "
-                f"descriptor is {descriptor.dim}-d")
-        return np.asarray(descriptor.vector,
-                          dtype=self._store.compute_dtype)
-
-
-_EMPTY_BUCKET: frozenset[int] = frozenset()
-
-
-class IvfIndex(DescriptorIndex):
-    """Inverted-file index: k-means coarse quantizer + exact re-ranking.
-
-    The million-entry tier.  Training runs Lloyd's algorithm over a
-    deterministic subsample of the stored vectors (seeded from
-    ``(seed, dim, n, K)``, so a given store always trains the same
-    centroids); each stored vector is assigned to its nearest centroid's
-    inverted list.  A query ranks the ``K`` centroids, gathers the
-    members of the ``nprobe`` nearest cells, and re-ranks them exactly —
-    per-query work grows with ``K + n * nprobe / K`` instead of ``n``.
-
-    Lifecycle: below ``min_train`` entries the index is an exact linear
-    scan (nothing to quantize yet).  The first insert at or past
-    ``min_train`` trains; afterwards inserts assign incrementally, and
-    the index re-trains whenever occupancy has grown by
-    ``retrain_growth``x since the last training — centroids follow the
-    catalog as it drifts, with amortized-constant re-train cost.
-
-    Recall: with auto-sized ``K ~ sqrt(n)`` and the default ``nprobe``
-    the near-duplicate drift workloads hold recall >= 0.95 against
-    :class:`LinearIndex` ground truth (asserted by the index-scaling
-    bench and the property suite).  More ``nprobe`` buys recall
-    linearly in candidate cost.
-
-    Args:
-        dim: Vector dimension.
-        metric: Distance for both coarse ranking and re-ranking.
-        n_centroids: Cells to train (0 = auto, ``~sqrt(n)``).
-        nprobe: Cells probed per query (0 = auto, a small constant — a
-            *fixed* probe width is what keeps scaling sublinear).
-        seed: Training seed (subsample choice + centroid init).
-        dtype: Storage dtype, as :class:`_VectorStore`.
-        min_train: Occupancy at which the first training runs.
-        retrain_growth: Growth factor that triggers re-training.
-        kmeans_iters: Lloyd iterations per training.
-        train_sample: Max vectors fed to Lloyd (subsampled above this).
-    """
-
-    BASE_COST_S = 6e-5
-    PER_CENTROID_COST_S = 1.2e-7
-    PER_CANDIDATE_COST_S = 2.5e-7
-    DEFAULT_NPROBE = 8
-
-    def __init__(self, dim: int, metric: str = "cosine",
-                 n_centroids: int = 0, nprobe: int = 0, seed: int = 13,
-                 dtype: str = DEFAULT_DTYPE, min_train: int = 256,
-                 retrain_growth: float = 4.0, kmeans_iters: int = 8,
-                 train_sample: int = 20000):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        if n_centroids < 0 or nprobe < 0:
-            raise ValueError("n_centroids and nprobe must be >= 0")
-        if min_train < 2:
-            raise ValueError("min_train must be >= 2")
-        if retrain_growth <= 1.0:
-            raise ValueError("retrain_growth must be > 1.0")
-        self.dim = dim
-        self.metric_name = metric
-        self.dtype = dtype
-        self.n_centroids = n_centroids
-        self.nprobe = nprobe
-        self.seed = seed
-        self.min_train = min_train
-        self.retrain_growth = retrain_growth
-        self.kmeans_iters = kmeans_iters
-        self.train_sample = train_sample
-        self._metric = get_metric(metric)
-        self._metric_batch = get_metric_batch(metric)
-        self._store = _make_store(dtype)
-        self._eps = _decision_eps(dtype)
-        self._centroids: np.ndarray | None = None
-        self._centroid_norms: np.ndarray | None = None
-        self._lists: list[set[int]] = []
-        self._cell_of: dict[int, int] = {}
-        self._trained_n = 0
-        self.trainings = 0
-        self.last_candidates = 0
-        self.last_query_cost_s: float | None = None
-
-    # -- maintenance -----------------------------------------------------------
-
-    @property
-    def trained(self) -> bool:
-        return self._centroids is not None
-
-    def _effective_nprobe(self) -> int:
-        probe = self.nprobe or self.DEFAULT_NPROBE
-        if self._centroids is not None:
-            probe = min(probe, len(self._centroids))
-        return probe
-
-    def _assign_block(self, block: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest centroid (and its distance) for each row of a block."""
-        d = self._metric_batch(self._centroids, block,
-                               row_norms=self._centroid_norms)
-        cells = np.argmin(d, axis=1)
-        return cells, d[np.arange(len(block)), cells]
-
-    def _train(self) -> None:
-        n = len(self._store)
-        k = self.n_centroids or max(4, int(round(np.sqrt(n))))
-        k = min(k, n)
-        sample_n = min(self.train_sample, n)
-        # Deterministic stride subsample: stable under append-order and
-        # cheap at 10^7 rows.
-        sample_rows = np.unique(np.linspace(
-            0, n - 1, sample_n).round().astype(np.intp))
-        data, _ = self._store.take(sample_rows)
-        data = np.asarray(data, dtype=np.float64)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-            [self.seed, self.dim, n, k])))
-        centroids = data[rng.choice(len(data), size=k, replace=False)]
-        centroids = np.array(centroids)
-        cnorms = np.linalg.norm(centroids, axis=1)
-        for _ in range(self.kmeans_iters):
-            assign = np.empty(len(data), dtype=np.intp)
-            mindist = np.empty(len(data), dtype=np.float64)
-            for s in range(0, len(data), 4096):
-                block = data[s:s + 4096]
-                d = self._metric_batch(centroids, block, row_norms=cnorms)
-                assign[s:s + len(block)] = np.argmin(d, axis=1)
-                mindist[s:s + len(block)] = d[
-                    np.arange(len(block)), assign[s:s + len(block)]]
-            counts = np.bincount(assign, minlength=k)
-            sums = np.zeros_like(centroids)
-            np.add.at(sums, assign, data)
-            live = counts > 0
-            centroids[live] = sums[live] / counts[live, None]
-            empty = np.flatnonzero(~live)
-            if len(empty):
-                # Re-seed dead cells to the worst-served points.
-                farthest = np.argsort(-mindist, kind="stable")[:len(empty)]
-                centroids[empty] = data[farthest]
-            cnorms = np.linalg.norm(centroids, axis=1)
-        self._centroids = np.asarray(centroids,
-                                     dtype=self._store.compute_dtype)
-        self._centroid_norms = np.linalg.norm(self._centroids, axis=1)
-        self._trained_n = n
-        self.trainings += 1
-        self._rebuild_lists()
-
-    def _rebuild_lists(self) -> None:
-        k = len(self._centroids)
-        self._lists = [set() for _ in range(k)]
-        self._cell_of = {}
-        n = len(self._store)
-        for s in range(0, n, 4096):
-            rows = np.arange(s, min(s + 4096, n), dtype=np.intp)
-            block, _ = self._store.take(rows)
-            cells, _ = self._assign_block(
-                np.asarray(block, dtype=self._store.compute_dtype))
-            for j, row in enumerate(rows):
-                entry_id = self._store.id_at(int(row))
-                cell = int(cells[j])
-                self._lists[cell].add(entry_id)
-                self._cell_of[entry_id] = cell
-
-    def _maintain(self) -> None:
-        """Train or re-train if occupancy warrants it."""
-        n = len(self._store)
-        if self._centroids is None:
-            if n >= self.min_train:
-                self._train()
-        elif n >= self.retrain_growth * max(1, self._trained_n):
-            self._train()
-
-    # -- mutation --------------------------------------------------------------
-
-    def insert(self, entry_id: int, descriptor: Descriptor) -> None:
-        vec = self._validate(descriptor)
-        if entry_id in self._store:
-            raise IndexEntryExists(f"entry {entry_id} already indexed")
-        self._store.add(entry_id, vec)
-        if self._centroids is not None:
-            stored = np.asarray(self._store.get(entry_id),
-                                dtype=self._store.compute_dtype)
-            cells, _ = self._assign_block(stored[None, :])
-            cell = int(cells[0])
-            self._lists[cell].add(entry_id)
-            self._cell_of[entry_id] = cell
-        self._maintain()
-
-    def insert_batch(self, items: typing.Sequence[
-            tuple[int, Descriptor]]) -> None:
-        ids: list[int] = []
-        vecs: list[np.ndarray] = []
-        seen: set[int] = set()
-        for entry_id, descriptor in items:
-            if entry_id in self._store or entry_id in seen:
-                raise IndexEntryExists(f"entry {entry_id} already indexed")
-            seen.add(entry_id)
-            ids.append(entry_id)
-            vecs.append(self._validate(descriptor))
-        if not ids:
-            return
-        self._store.add_batch(ids, np.stack(vecs))
-        if self._centroids is not None:
-            block, _ = self._store.take(self._store.rows_for(ids))
-            cells, _ = self._assign_block(
-                np.asarray(block, dtype=self._store.compute_dtype))
-            for j, entry_id in enumerate(ids):
-                cell = int(cells[j])
-                self._lists[cell].add(entry_id)
-                self._cell_of[entry_id] = cell
-        self._maintain()
-
-    def remove(self, entry_id: int) -> None:
-        if entry_id not in self._store:
-            raise KeyError(f"entry {entry_id} not in index")
-        self._store.remove(entry_id)
-        cell = self._cell_of.pop(entry_id, None)
-        if cell is not None:
-            self._lists[cell].discard(entry_id)
-
-    # -- queries ---------------------------------------------------------------
-
-    def query(self, descriptor: Descriptor,
-              threshold: float) -> tuple[int, float] | None:
-        return self.query_batch([descriptor], threshold)[0]
-
-    def query_batch(self, descriptors: typing.Sequence[Descriptor],
-                    threshold: float) -> list[tuple[int, float] | None]:
-        vecs = [self._validate(d) for d in descriptors]
-        if not vecs:
-            return []
-        if len(self._store) == 0:
-            self.last_candidates = 0
-            self.last_query_cost_s = self.lookup_cost_s()
-            return [None] * len(vecs)
-        if self._centroids is None:
-            return self._scan_all(descriptors, vecs, threshold)
-        queries = np.stack(vecs)
-        cdist = self._metric_batch(self._centroids, queries,
-                                   row_norms=self._centroid_norms)
-        order = np.argsort(cdist, axis=1, kind="stable")
-        nprobe = self._effective_nprobe()
-        results: list[tuple[int, float] | None] = []
-        total_candidates = 0
-        for q in range(len(vecs)):
-            if len(vecs) > 1 and self._probe_boundary(cdist[q], order[q],
-                                                      nprobe):
-                # The probe cut sits inside gemm summation-order wobble:
-                # a (Q, K) and a (1, K) centroid ranking could pick
-                # different cells.  Re-answer through the batch-of-one
-                # path — the same arithmetic a sequential query() uses —
-                # so batch and sequential decisions stay identical.
-                results.append(self.query_batch([descriptors[q]],
-                                                threshold)[0])
-                total_candidates += self.last_candidates
-                continue
-            candidates: set[int] = set()
-            for cell in order[q, :nprobe]:
-                candidates |= self._lists[int(cell)]
-            total_candidates += len(candidates)
-            if not candidates:
-                results.append(None)
-                continue
-            ids = sorted(candidates)
-            cand_matrix, cand_norms = self._store.take(
-                self._store.rows_for(ids))
-            distances = self._metric(cand_matrix, queries[q],
-                                     row_norms=cand_norms)
-            best = int(np.argmin(distances))
-            d = float(distances[best])
-            if d <= threshold:
-                results.append((ids[best], d))
-            else:
-                results.append(None)
-        self.last_candidates = int(round(total_candidates / len(vecs)))
-        self.last_query_cost_s = self._price(total_candidates / len(vecs))
-        return results
-
-    def _probe_boundary(self, dist_row: np.ndarray, order_row: np.ndarray,
-                        nprobe: int) -> bool:
-        """True when the nprobe cut could flip under gemm wobble.
-
-        Any cell swapping across the cut requires two of the first
-        ``nprobe + 1`` sorted centroid distances to sit within the
-        wobble margin of each other, so checking those gaps suffices.
-        """
-        if nprobe >= len(order_row):
-            return False
-        window = dist_row[order_row[:nprobe + 1]]
-        return bool((np.diff(window) <= self._eps).any())
-
-    def _scan_all(self, descriptors, vecs,
-                  threshold: float) -> list[tuple[int, float] | None]:
-        """Untrained fallback: the exact LinearIndex arithmetic."""
-        queries = np.stack(vecs)
-        distances = self._store.distances(self._metric_batch, queries)
-        best = np.argmin(distances, axis=1)
-        best_distance = distances[np.arange(len(vecs)), best]
-        if distances.shape[1] > 1:
-            runner_up = np.partition(distances, 1, axis=1)[:, 1]
-        else:
-            runner_up = np.full(len(vecs), np.inf)
-        results: list[tuple[int, float] | None] = []
-        for q, row in enumerate(best):
-            d = float(best_distance[q])
-            if len(vecs) > 1 and (
-                    abs(d - threshold) <= self._eps
-                    or runner_up[q] - d <= self._eps):
-                results.append(self.query_batch([descriptors[q]],
-                                                threshold)[0])
-                continue
-            if d <= threshold:
-                results.append((self._store.id_at(int(row)), d))
-            else:
-                results.append(None)
-        self.last_candidates = len(self._store)
-        self.last_query_cost_s = self.lookup_cost_s()
-        return results
-
-    # -- pricing / introspection -----------------------------------------------
-
-    def _price(self, n_candidates: float) -> float:
-        return (self.BASE_COST_S
-                + self.PER_CENTROID_COST_S * len(self._centroids)
-                + self.PER_CANDIDATE_COST_S * n_candidates)
-
-    def lookup_cost_s(self) -> float:
-        """Expected per-query cost at current occupancy.
-
-        Untrained, the index is a linear scan and prices like one.
-        Trained, it pays the centroid ranking plus the expected
-        candidate set under uniform cell loading
-        (``n * nprobe / K``, capped at occupancy).
-        """
-        n = len(self._store)
-        if self._centroids is None:
-            return (LinearIndex.BASE_COST_S
-                    + LinearIndex.PER_VECTOR_COST_S * n)
-        k = len(self._centroids)
-        expected = min(float(n), n * self._effective_nprobe() / float(k))
-        return self._price(expected)
-
-    def memory_bytes(self) -> int:
-        """Allocated storage bytes (store arrays + centroids)."""
-        total = self._store.memory_bytes()
-        if self._centroids is not None:
-            total += self._centroids.nbytes + self._centroid_norms.nbytes
-        return total
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def _validate(self, descriptor: Descriptor) -> np.ndarray:
-        if not isinstance(descriptor, VectorDescriptor):
-            raise TypeError("IvfIndex stores VectorDescriptor keys")
-        if descriptor.dim != self.dim:
-            raise ValueError(
-                f"dimension mismatch: index is {self.dim}-d, "
-                f"descriptor is {descriptor.dim}-d")
-        return np.asarray(descriptor.vector,
-                          dtype=self._store.compute_dtype)
 
 
 class FusedLinearCore:
@@ -1747,38 +1167,3 @@ class _FusedKindView(DescriptorIndex):
 
     def __len__(self) -> int:
         return self._core.kind_len(self._code)
-
-
-def make_index(spec: str, dim: int = 128, metric: str = "cosine",
-               dtype: str = DEFAULT_DTYPE) -> DescriptorIndex:
-    """Build an index from a config string.
-
-    ``"exact"`` -> :class:`ExactIndex`; ``"linear"`` -> :class:`LinearIndex`;
-    ``"lsh"`` or ``"lsh:T:B"`` -> :class:`LshIndex` with T tables, B bits;
-    ``"ivf"``, ``"ivf:K"`` or ``"ivf:K:P"`` -> :class:`IvfIndex` with K
-    centroids probing P cells (0 = auto for either).  ``dtype`` selects
-    the vector storage mode (ignored by ``"exact"``).
-    """
-    if spec == "exact":
-        return ExactIndex()
-    if spec == "linear":
-        return LinearIndex(metric=metric, dtype=dtype)
-    if spec == "lsh":
-        return LshIndex(dim=dim, metric=metric, dtype=dtype)
-    if spec.startswith("lsh:"):
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"bad lsh spec {spec!r}; use 'lsh:TABLES:BITS'")
-        return LshIndex(dim=dim, metric=metric, n_tables=int(parts[1]),
-                        n_bits=int(parts[2]), dtype=dtype)
-    if spec == "ivf":
-        return IvfIndex(dim=dim, metric=metric, dtype=dtype)
-    if spec.startswith("ivf:"):
-        parts = spec.split(":")
-        if len(parts) not in (2, 3):
-            raise ValueError(
-                f"bad ivf spec {spec!r}; use 'ivf:CENTROIDS[:NPROBE]'")
-        nprobe = int(parts[2]) if len(parts) == 3 else 0
-        return IvfIndex(dim=dim, metric=metric, n_centroids=int(parts[1]),
-                        nprobe=nprobe, dtype=dtype)
-    raise ValueError(f"unknown index spec {spec!r}")

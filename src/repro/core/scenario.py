@@ -40,10 +40,26 @@ import dataclasses
 import itertools
 import typing
 
+from repro.core.index import STORE_DTYPES
+
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(message)
+
+
+def _known_fields(cls, data: dict) -> dict:
+    """``data`` checked against ``cls``'s dataclass fields.
+
+    Raises ValueError naming any unknown key, so a stale or misspelt
+    spec key fails loudly instead of silently running a different
+    deployment.
+    """
+    fields = {f.name for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - fields)
+    _require(not unknown,
+             f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    return dict(data)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -359,8 +375,7 @@ class MobilitySpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MobilitySpec":
-        fields = {f.name for f in dataclasses.fields(cls)}
-        data = {k: v for k, v in data.items() if k in fields}
+        data = _known_fields(cls, data)
         if data.get("bias") is not None:
             data["bias"] = tuple(data["bias"])
         if data.get("bias_schedule") is not None:
@@ -423,8 +438,7 @@ class BackgroundTrafficSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BackgroundTrafficSpec":
-        fields = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in fields})
+        return cls(**_known_fields(cls, data))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -507,12 +521,6 @@ class EdgePolicySpec:
             wires this into every :class:`~repro.core.client
             .CoICClient`.  0 keeps the pre-backoff behaviour: the app
             sees the ``shed`` outcome immediately.
-        vector_index: Override the deployment's vector index tier for
-            every edge cache — ``"linear"`` (fused brute force),
-            ``"lsh"``/``"lsh:T:B"``, ``"ivf"``/``"ivf:K"``/``"ivf:K:P"``
-            (coarse-quantizer probe, for 1e5+ entry caches), or
-            ``"exact"``.  Empty string (default) inherits
-            ``CacheConfig.vector_index``.  See docs/index_tiers.md.
         vector_dtype: Override the vector storage dtype for every edge
             cache — ``"float32"`` (4 B/element), ``"float64"``
             (compatibility mode), or ``"int8"`` (scalar-quantized,
@@ -539,7 +547,6 @@ class EdgePolicySpec:
     layer_reuse: bool = False
     layer_plan_margin_s: float = 0.0
     shed_retries: int = 0
-    vector_index: str = ""
     vector_dtype: str = ""
     layer_tap_budget_frac: float | None = None
 
@@ -561,8 +568,9 @@ class EdgePolicySpec:
         _require(self.layer_plan_margin_s >= 0,
                  "layer_plan_margin_s must be >= 0")
         _require(self.shed_retries >= 0, "shed_retries must be >= 0")
-        _require(self.vector_dtype in ("", "float32", "float64", "int8"),
-                 f"vector_dtype must be ''/float32/float64/int8, "
+        _require(self.vector_dtype == ""
+                 or self.vector_dtype in STORE_DTYPES,
+                 f"vector_dtype must be '' or one of {STORE_DTYPES}, "
                  f"got {self.vector_dtype!r}")
         if self.layer_tap_budget_frac is not None:
             _require(0 < self.layer_tap_budget_frac <= 1,
@@ -583,8 +591,7 @@ class EdgePolicySpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EdgePolicySpec":
-        fields = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in fields})
+        return cls(**_known_fields(cls, data))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,14 +1,14 @@
 """A7c — metro cluster throughput: simulated requests served per host core.
 
-The index tiers are measured in isolation by ``index_scaling``; this
+The storage dtypes are measured in isolation by ``index_scaling``; this
 experiment asks the whole-system question — how fast does the simulator
 push recognition requests through the 4-edge metro spec under each
-cache configuration?  One row per configuration: the float64/linear
-compatibility default, the fused float32 tier, and float32 IVF.  The
-metric is simulated requests completed per second of host wall clock
-per core (the driver is single-threaded, so cores == 1); simulated
-outcomes (hit ratio, latency) ride along to show the tiers do not
-change what the cluster computes, only how fast the host computes it.
+cache configuration?  One row per vector storage dtype: the float64
+compatibility default and float32.  The metric is simulated requests
+completed per second of host wall clock per core (the driver is
+single-threaded, so cores == 1); simulated outcomes (hit ratio,
+latency) ride along to show the dtypes do not change what the cluster
+computes, only how fast the host computes it.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from repro.core.scenario import (
 from repro.eval.experiments.mobility_exp import drive_scenario
 
 DEFAULT_CONFIGS = (
-    ("float64_linear", "linear", "float64"),
-    ("float32_fused", "linear", "float32"),
-    ("float32_ivf", "ivf", "float32"),
+    ("float64_linear", "float64"),
+    ("float32_fused", "float32"),
 )
 
 
@@ -38,7 +37,6 @@ class ThroughputRow:
     """One cache configuration driven through the metro spec."""
 
     label: str
-    vector_index: str
     vector_dtype: str
     requests: int
     sim_duration_s: float
@@ -51,7 +49,7 @@ class ThroughputRow:
 
 
 def run_cluster_throughput(
-        configs: typing.Sequence[tuple[str, str, str]] = DEFAULT_CONFIGS,
+        configs: typing.Sequence[tuple[str, str]] = DEFAULT_CONFIGS,
         duration_s: float = 60.0, request_interval_s: float = 0.5,
         n_edges: int = 4, clients_per_edge: int = 4,
         seed: int = 0) -> list[ThroughputRow]:
@@ -60,18 +58,16 @@ def run_cluster_throughput(
     Every configuration sees the identical scenario: a federated
     ``n_edges``-grid metro with mobile users and closed-loop recognition
     traffic (the same shape the golden-digest tests pin).  Only the
-    edge caches' index tier and storage dtype vary, via
-    ``EdgePolicySpec`` overrides — exactly how a deployment would opt
-    in.
+    edge caches' storage dtype varies, via an ``EdgePolicySpec``
+    override — exactly how a deployment would opt in.
     """
     rows = []
-    for label, vector_index, vector_dtype in configs:
+    for label, vector_dtype in configs:
         mobility = MobilitySpec(n_places=4 * n_edges,
                                 mean_dwell_s=8.0,
                                 duration_s=duration_s,
                                 handoff_latency_s=0.05)
-        policy = EdgePolicySpec(vector_index=vector_index,
-                                vector_dtype=vector_dtype)
+        policy = EdgePolicySpec(vector_dtype=vector_dtype)
         spec = ScenarioSpec.metro(
             n_edges=n_edges, clients_per_edge=clients_per_edge,
             federate=True, mobility=mobility, policy=policy)
@@ -88,7 +84,6 @@ def run_cluster_throughput(
         summary = recorder.summary(task_kind="recognition")
         rows.append(ThroughputRow(
             label=label,
-            vector_index=vector_index,
             vector_dtype=vector_dtype,
             requests=summary.n,
             sim_duration_s=duration_s,

@@ -1,14 +1,14 @@
-"""A7 — descriptor index scaling: linear scan vs LSH, scalar vs batch.
+"""A7 — descriptor index scaling: exact linear scan, scalar vs batch.
 
 The edge cache's vector lookups sit on the latency-critical path of
 every recognition request, and the poster's "simple" implementation is a
-linear scan.  This experiment fills both index types to increasing
-occupancy and measures (a) real wall-clock query time of the per-query
-and batched (`query_batch`) paths, (b) the simulated cost model the edge
-charges, (c) LSH recall against the exact scan — the price paid for
-sub-linear lookups — and (d) the speedup over the pre-optimization
-implementation (`_LegacyLinearScan`), which is what BENCH json files
-track as the before/after trajectory.
+linear scan.  This experiment fills the index to increasing occupancy
+and measures (a) real wall-clock query time of the per-query and
+batched (`query_batch`) paths, (b) the simulated cost model the edge
+charges, and (c) the speedup over the pre-optimization implementation
+(`_LegacyLinearScan`), which is what BENCH json files track as the
+before/after trajectory.  :func:`run_tier_scaling` then compares the
+storage dtypes and the fused multi-kind core at 10^5-10^6 entries.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.descriptors import VectorDescriptor
 from repro.core.distance import get_metric
-from repro.core.index import FusedLinearCore, IvfIndex, LinearIndex, LshIndex
+from repro.core.index import FusedLinearCore, LinearIndex
 from repro.sim.rng import RngStreams
 from repro.vision.features import EmbeddingSpace
 
@@ -65,18 +65,6 @@ class _LegacyLinearScan:
         return None
 
 
-def _legacy_signatures(planes: np.ndarray, vec: np.ndarray) -> list[int]:
-    """The seed's per-insert signature path: a Python per-bit loop."""
-    sigs = []
-    for table in range(planes.shape[0]):
-        bits = (planes[table] @ vec) > 0
-        sig = 0
-        for bit in bits:
-            sig = (sig << 1) | int(bit)
-        sigs.append(sig)
-    return sigs
-
-
 @dataclasses.dataclass(frozen=True)
 class IndexRow:
     """One occupancy level."""
@@ -85,24 +73,12 @@ class IndexRow:
     linear_wall_us: float
     linear_batch_us: float
     legacy_linear_us: float
-    lsh_wall_us: float
-    lsh_batch_us: float
-    lsh_sig_us: float
-    legacy_sig_us: float
     linear_model_us: float
-    lsh_model_us: float
-    lsh_recall: float
-    lsh_candidates: float
 
     @property
     def batch_speedup(self) -> float:
         """Throughput gain of the batched path over the seed's scan."""
         return self.legacy_linear_us / self.linear_batch_us
-
-    @property
-    def sig_speedup(self) -> float:
-        """Signature-computation gain over the seed's per-bit loop."""
-        return self.legacy_sig_us / self.lsh_sig_us
 
 
 def _check_decisions(got, want, threshold: float, eps: float = 1e-9) -> None:
@@ -128,7 +104,7 @@ def run_index_scaling(sizes: typing.Sequence[int] = DEFAULT_SIZES,
                       dim: int = 128, n_queries: int = 50,
                       threshold: float = 0.15,
                       seed: int = 0) -> list[IndexRow]:
-    """Measure both indexes, both query paths, at each occupancy."""
+    """Measure the seed scan and both query paths at each occupancy."""
     rng = RngStreams(seed)
     space = EmbeddingSpace(dim=dim, n_classes=max(sizes), seed=seed)
     rows = []
@@ -148,10 +124,8 @@ def run_index_scaling(sizes: typing.Sequence[int] = DEFAULT_SIZES,
 
         legacy = _LegacyLinearScan()
         linear = LinearIndex()
-        lsh = LshIndex(dim=dim)
         _fill(legacy, stored)
         _fill(linear, stored)
-        _fill(lsh, stored)
 
         start = time.perf_counter()
         legacy_results = [legacy.query(q, threshold) for q in queries]
@@ -165,68 +139,32 @@ def run_index_scaling(sizes: typing.Sequence[int] = DEFAULT_SIZES,
         linear_batch_results = linear.query_batch(queries, threshold)
         linear_batch_wall = (time.perf_counter() - start) / n_queries
 
-        start = time.perf_counter()
-        lsh_results = [lsh.query(q, threshold) for q in queries]
-        lsh_wall = (time.perf_counter() - start) / n_queries
-        candidates = lsh.last_candidates
-
-        start = time.perf_counter()
-        lsh_batch_results = lsh.query_batch(queries, threshold)
-        lsh_batch_wall = (time.perf_counter() - start) / n_queries
-
-        # Insert-path cost: signature computation, new vs seed per-bit
-        # loop, over a sample of the stored vectors.
-        sample = stored[:min(n_entries, 200)].astype(np.float64)
-        legacy_planes = lsh._planes.reshape(lsh.n_tables, lsh.n_bits, dim)
-        start = time.perf_counter()
-        for vec in sample:
-            lsh._signatures(vec)
-        sig_wall = (time.perf_counter() - start) / len(sample)
-        start = time.perf_counter()
-        for vec in sample:
-            _legacy_signatures(legacy_planes, vec)
-        legacy_sig_wall = (time.perf_counter() - start) / len(sample)
-
         # The optimized paths must agree with the seed path's decisions.
         # Cross-implementation comparisons skip queries whose best
         # distance sits within float wobble of the threshold — different
         # arithmetic pipelines may legitimately disagree there.
         _check_decisions(linear_results, legacy_results, threshold)
         _check_decisions(linear_batch_results, linear_results, threshold)
-        _check_decisions(lsh_batch_results, lsh_results, threshold)
-
-        matched = [(a, b) for a, b in zip(linear_results, lsh_results)
-                   if a is not None]
-        recall = (sum(1 for a, b in matched
-                      if b is not None and b[0] == a[0]) / len(matched)
-                  if matched else float("nan"))
 
         rows.append(IndexRow(
             n_entries=n_entries,
             linear_wall_us=linear_wall * 1e6,
             linear_batch_us=linear_batch_wall * 1e6,
             legacy_linear_us=legacy_wall * 1e6,
-            lsh_wall_us=lsh_wall * 1e6,
-            lsh_batch_us=lsh_batch_wall * 1e6,
-            lsh_sig_us=sig_wall * 1e6,
-            legacy_sig_us=legacy_sig_wall * 1e6,
-            linear_model_us=linear.lookup_cost_s() * 1e6,
-            lsh_model_us=lsh.last_query_cost_s * 1e6,
-            lsh_recall=recall,
-            lsh_candidates=float(candidates)))
+            linear_model_us=linear.lookup_cost_s() * 1e6))
     return rows
 
 
 @dataclasses.dataclass(frozen=True)
 class TierRow:
-    """One occupancy level of the storage/index tier comparison.
+    """One occupancy level of the storage tier comparison.
 
     The workload mirrors a metro aggregation cache: one dominant vector
     kind (recognition descriptors, 95% of rows) plus a thin secondary
     kind sharing the same dimension, probed by near-duplicate queries.
     ``float64_perkind_us`` is the deployment-default path (one float64
-    LinearIndex per kind); the other timings are the opt-in tiers this
-    PR adds.  Memory columns are the allocated store bytes for the same
+    LinearIndex per kind); the other timings are the opt-in float32
+    fused core and int8 storage.  Memory columns are the allocated store bytes for the same
     population inserted in one burst (so capacity equals occupancy and
     dtypes compare like for like).
     """
@@ -235,16 +173,11 @@ class TierRow:
     float64_perkind_us: float
     fused_float32_us: float
     int8_us: float
-    ivf_us: float
     float64_memory_mb: float
     float32_memory_mb: float
     int8_memory_mb: float
-    ivf_memory_mb: float
     fused_recall: float
     int8_recall: float
-    ivf_recall: float
-    ivf_candidates: float
-    ivf_trainings: int
 
     @property
     def fused_speedup(self) -> float:
@@ -256,7 +189,7 @@ def _time_interleaved(thunks: dict[str, typing.Callable[[], object]],
                       reps: int) -> dict[str, float]:
     """Min wall time per thunk over ``reps`` round-robin passes.
 
-    Interleaving the tiers (ABCD ABCD ...) instead of timing each one in
+    Interleaving the tiers (ABC ABC ...) instead of timing each one in
     a block means a load spike or thermal dip hits every tier, not
     whichever one happened to be running; the per-tier minimum then
     compares like against like.
@@ -276,21 +209,20 @@ def run_tier_scaling(sizes: typing.Sequence[int] = DEFAULT_TIER_SIZES,
                      threshold: float = 0.05, aux_every: int = 20,
                      noise: float = 0.02, seed: int = 0,
                      timing_reps: int = 3) -> list[TierRow]:
-    """Measure the storage/index tiers at 10^5-10^6 occupancy.
+    """Measure the storage tiers at 10^5-10^6 occupancy.
 
     Population: ``n`` unit vectors, every ``aux_every``-th row tagged as
     a secondary kind sharing the dimension (the realistic shape — the
     recognition namespace dominates a deployed cache).  Queries are
     near-duplicates of stored rows (``noise`` perturbation, well inside
-    ``threshold``), so exact search always matches and approximate
+    ``threshold``), so exact search always matches and quantized
     recall is measured against real positives.  Tiers:
 
     * per-kind float64 ``LinearIndex`` — the deployment default and the
       timing/recall baseline;
     * fused float32 ``FusedLinearCore`` — one stacked matmul across
       kinds, the recommended tier;
-    * int8 ``LinearIndex`` — scalar-quantized storage, the memory tier;
-    * float32 ``IvfIndex`` (auto-sized) — the sublinear tier.
+    * int8 ``LinearIndex`` — scalar-quantized storage, the memory tier.
     """
     rng = np.random.default_rng(seed)
     rows = []
@@ -346,17 +278,12 @@ def run_tier_scaling(sizes: typing.Sequence[int] = DEFAULT_TIER_SIZES,
         int8 = LinearIndex(dtype="int8")
         int8.insert_batch(items)
 
-        # IVF tier: auto-sized coarse quantizer over all rows.
-        ivf = IvfIndex(dim=dim, dtype="float32", seed=seed)
-        ivf.insert_batch(items)
-
         walls = _time_interleaved({
             "f64": lambda: (f64_rec.query_batch(rec_queries, threshold),
                             f64_aux.query_batch(aux_queries, threshold)),
             "fused": lambda: fused.query_multi(kinds, queries,
                                                thresholds),
             "int8": lambda: int8.query_batch(queries, threshold),
-            "ivf": lambda: ivf.query_batch(queries, threshold),
         }, timing_reps)
 
         rec_truth = iter(f64_rec.query_batch(rec_queries, threshold))
@@ -374,22 +301,16 @@ def run_tier_scaling(sizes: typing.Sequence[int] = DEFAULT_TIER_SIZES,
 
         fused_results = fused.query_multi(kinds, queries, thresholds)
         int8_results = int8.query_batch(queries, threshold)
-        ivf_results = ivf.query_batch(queries, threshold)
 
         rows.append(TierRow(
             n_entries=n_entries,
             float64_perkind_us=walls["f64"] / n_queries * 1e6,
             fused_float32_us=walls["fused"] / n_queries * 1e6,
             int8_us=walls["int8"] / n_queries * 1e6,
-            ivf_us=walls["ivf"] / n_queries * 1e6,
             float64_memory_mb=(f64_rec.memory_bytes()
                                + f64_aux.memory_bytes()) / 1e6,
             float32_memory_mb=f32_mem.memory_bytes() / 1e6,
             int8_memory_mb=int8.memory_bytes() / 1e6,
-            ivf_memory_mb=ivf.memory_bytes() / 1e6,
             fused_recall=recall_of(fused_results),
-            int8_recall=recall_of(int8_results),
-            ivf_recall=recall_of(ivf_results),
-            ivf_candidates=float(ivf.last_candidates),
-            ivf_trainings=ivf.trainings))
+            int8_recall=recall_of(int8_results)))
     return rows

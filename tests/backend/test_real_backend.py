@@ -175,8 +175,8 @@ class TestRobustness:
                             "seed": 0, "threshold": None,
                             "max_viewpoint_delta": 5.0},
             "cache": {"capacity_bytes": 10_000_000, "policy": "lru",
-                      "vector_index": "linear", "metric": "l2",
-                      "ttl_s": None, "vector_dtype": "float64"},
+                      "metric": "l2", "ttl_s": None,
+                      "vector_dtype": "float64"},
             "warm_classes": [], "admission": "none", "queue_limit": None,
             "cloud": None,  # cloudless: the edge itself is the oracle
         }

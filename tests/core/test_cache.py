@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.cache import ICCache
 from repro.core.descriptors import HashDescriptor, VectorDescriptor
+from repro.core.index import ExactIndex, _FusedKindView
 from repro.core.policies import make_policy
 
 
@@ -23,6 +24,20 @@ class TestBasicOperations:
         entry = cache.lookup(hd("aa"))
         assert entry is not None and entry.result == "model-A"
         assert cache.lookup(hd("bb")) is None
+
+    def test_removing_newest_duplicate_digest_keeps_older_findable(self):
+        # Regression: the hash index kept one id per digest, so removing
+        # the newer of two same-digest entries orphaned the older one —
+        # still live and holding capacity, but never found again.
+        cache = ICCache(capacity_bytes=1000)
+        older = cache.insert(hd("aa"), result="v1", size_bytes=100)
+        newer = cache.insert(hd("aa"), result="v2", size_bytes=100)
+        assert cache.lookup(hd("aa")) is newer
+        cache.remove(newer)
+        assert cache.lookup(hd("aa")) is older
+        cache.remove(older)
+        assert cache.lookup(hd("aa")) is None
+        assert cache.size_bytes == 0
 
     def test_insert_lookup_vector_threshold(self):
         cache = ICCache(capacity_bytes=1000, default_threshold=0.1)
@@ -153,14 +168,6 @@ class TestLookupCost:
             cache.insert(vd([float(i), 1.0]), i, 10)
         assert cache.lookup_cost_s("recognition") > small
 
-    def test_lsh_index_spec_used_for_vectors(self):
-        cache = ICCache(capacity_bytes=10_000, vector_index="lsh:4:8",
-                        descriptor_dim=8)
-        cache.insert(vd([1, 0, 0, 0, 0, 0, 0, 0]), "x", 10)
-        from repro.core.index import LshIndex
-
-        assert isinstance(cache.index_for("recognition"), LshIndex)
-
 
 class TestLookupBatch:
     """lookup_batch must be indistinguishable from sequential lookups."""
@@ -290,6 +297,18 @@ class TestStorageTiers:
                         default_threshold=0.1)
         cache.insert(vd([1, 0, 0]), "obj", 10)
         assert cache.lookup(vd([0.99, 0.05, 0])) is not None
+
+    def test_index_for_is_exact_or_fused_view(self):
+        cache = ICCache(capacity_bytes=100_000)
+        cache.insert(hd("aa"), "m", 10)
+        cache.insert(vd([1, 0, 0]), "r", 10)
+        cache.insert(vd([0, 1, 0], kind="pano"), "p", 10)
+        assert isinstance(cache.index_for("model_load"), ExactIndex)
+        recognition = cache.index_for("recognition")
+        pano = cache.index_for("pano")
+        assert isinstance(recognition, _FusedKindView)
+        assert isinstance(pano, _FusedKindView)
+        assert recognition._core is pano._core
 
     def test_index_memory_bytes_counts_fused_core_once(self):
         cache = ICCache(capacity_bytes=100_000)

@@ -194,11 +194,9 @@ class TestPolicyIndexOverrides:
     def test_policy_overrides_reach_every_cache(self, make_deployment):
         from repro.core.scenario import EdgePolicySpec
 
-        dep = make_deployment(policy=EdgePolicySpec(
-            vector_index="ivf:16:4", vector_dtype="float32"))
+        dep = make_deployment(policy=EdgePolicySpec(vector_dtype="float32"))
         for cache in dep.caches:
             assert cache.vector_dtype == "float32"
-            assert cache._vector_index_spec == "ivf:16:4"
 
     def test_empty_overrides_inherit_config(self, make_deployment):
         from repro.core.scenario import EdgePolicySpec
@@ -206,7 +204,6 @@ class TestPolicyIndexOverrides:
         dep = make_deployment(policy=EdgePolicySpec())
         for cache in dep.caches:
             assert cache.vector_dtype == "float64"
-            assert cache._vector_index_spec == "linear"
 
 
 class TestFacadeShape:

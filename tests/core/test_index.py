@@ -8,10 +8,7 @@ from repro.core.index import (
     ExactIndex,
     FusedLinearCore,
     IndexEntryExists,
-    IvfIndex,
     LinearIndex,
-    LshIndex,
-    make_index,
 )
 
 
@@ -44,6 +41,18 @@ class TestExactIndex:
         # Removing the superseded entry must not disturb the winner.
         index.remove(1)
         assert index.query(d, 0.0) == (2, 0.0)
+
+    def test_removing_newest_duplicate_falls_back_to_older(self):
+        index = ExactIndex()
+        d = HashDescriptor("m", "dd")
+        for entry_id in (1, 2, 3):
+            index.insert(entry_id, d)
+        index.remove(3)
+        assert index.query(d, 0.0) == (2, 0.0)
+        index.remove(1)
+        assert index.query(d, 0.0) == (2, 0.0)
+        index.remove(2)
+        assert index.query(d, 0.0) is None
 
     def test_type_checked(self):
         index = ExactIndex()
@@ -110,92 +119,6 @@ class TestLinearIndex:
         assert index.lookup_cost_s() > empty_cost
 
 
-class TestLshIndex:
-    @pytest.fixture
-    def population(self):
-        rng = np.random.default_rng(3)
-        vectors = rng.normal(size=(200, 64))
-        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-        return vectors
-
-    def test_finds_near_duplicates(self, population):
-        index = LshIndex(dim=64, n_tables=8, n_bits=10)
-        for i, v in enumerate(population):
-            index.insert(i, vec("r", v))
-        rng = np.random.default_rng(4)
-        found = 0
-        for i in range(50):
-            probe = population[i] + rng.normal(0, 0.02, size=64)
-            hit = index.query(vec("r", probe), threshold=0.05)
-            if hit is not None and hit[0] == i:
-                found += 1
-        assert found >= 45  # high recall on near-duplicates
-
-    def test_respects_threshold(self, population):
-        index = LshIndex(dim=64)
-        index.insert(0, vec("r", population[0]))
-        # A random unrelated vector must not match a tight threshold.
-        assert index.query(vec("r", population[1]), threshold=0.05) is None
-
-    def test_remove(self, population):
-        index = LshIndex(dim=64)
-        index.insert(0, vec("r", population[0]))
-        index.remove(0)
-        assert len(index) == 0
-        assert index.query(vec("r", population[0]), 0.1) is None
-
-    def test_remove_missing_raises(self):
-        with pytest.raises(KeyError):
-            LshIndex(dim=8).remove(1)
-
-    def test_dimension_checked(self):
-        index = LshIndex(dim=16)
-        with pytest.raises(ValueError):
-            index.insert(0, vec("r", np.ones(8)))
-
-    def test_deterministic_planes(self, population):
-        a = LshIndex(dim=64, seed=9)
-        b = LshIndex(dim=64, seed=9)
-        for i, v in enumerate(population[:20]):
-            a.insert(i, vec("r", v))
-            b.insert(i, vec("r", v))
-        probe = vec("r", population[0])
-        assert a.query(probe, 0.1) == b.query(probe, 0.1)
-
-
-class TestMakeIndex:
-    def test_specs(self):
-        assert isinstance(make_index("exact"), ExactIndex)
-        assert isinstance(make_index("linear"), LinearIndex)
-        assert isinstance(make_index("lsh", dim=32), LshIndex)
-        custom = make_index("lsh:4:6", dim=32)
-        assert custom.n_tables == 4 and custom.n_bits == 6
-
-    def test_ivf_specs(self):
-        assert isinstance(make_index("ivf", dim=32), IvfIndex)
-        auto = make_index("ivf", dim=32)
-        assert auto.n_centroids == 0 and auto.nprobe == 0
-        sized = make_index("ivf:64", dim=32)
-        assert sized.n_centroids == 64
-        full = make_index("ivf:64:4", dim=32)
-        assert full.n_centroids == 64 and full.nprobe == 4
-
-    def test_dtype_passthrough(self):
-        assert make_index("linear", dtype="int8")._store.dtype == "int8"
-        assert make_index("lsh", dim=32,
-                          dtype="float64")._store.dtype == "float64"
-        assert make_index("ivf", dim=32,
-                          dtype="float32")._store.dtype == "float32"
-
-    def test_bad_specs(self):
-        with pytest.raises(ValueError):
-            make_index("btree")
-        with pytest.raises(ValueError):
-            make_index("lsh:4")
-        with pytest.raises(ValueError):
-            make_index("ivf:x", dim=32)
-
-
 class TestQueryBatch:
     """query_batch must agree element-wise with sequential query calls."""
 
@@ -205,13 +128,11 @@ class TestQueryBatch:
 
     def test_empty_batch(self):
         assert LinearIndex().query_batch([], 0.5) == []
-        assert LshIndex(dim=4).query_batch([], 0.5) == []
         assert ExactIndex().query_batch([], 0.5) == []
 
     def test_batch_on_empty_index(self):
         probes = [vec("r", [1, 0]), vec("r", [0, 1])]
         assert LinearIndex().query_batch(probes, 2.0) == [None, None]
-        assert LshIndex(dim=2).query_batch(probes, 2.0) == [None, None]
 
     # Distance-value agreement between a (Q, N) gemm and a (1, N) gemm
     # is dtype-bound: float64 wobble is ~1e-13, float32 ~1e-7.  Match
@@ -230,24 +151,6 @@ class TestQueryBatch:
         batch = index.query_batch(probes, threshold=0.05)
         sequential = [index.query(p, threshold=0.05) for p in probes]
         assert len(batch) == len(sequential)
-        for got, want in zip(batch, sequential):
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert got[0] == want[0]
-                assert got[1] == pytest.approx(want[1],
-                                               abs=self.DIST_TOL[dtype])
-
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_lsh_batch_matches_sequential(self, dtype):
-        rng = np.random.default_rng(12)
-        population = rng.normal(size=(120, 32))
-        population /= np.linalg.norm(population, axis=1, keepdims=True)
-        index = LshIndex(dim=32, n_tables=6, n_bits=8, dtype=dtype)
-        self._fill(index, population)
-        probes = [vec("r", population[i] + rng.normal(0, 0.02, 32))
-                  for i in range(30)]
-        batch = index.query_batch(probes, threshold=0.05)
-        sequential = [index.query(p, threshold=0.05) for p in probes]
         for got, want in zip(batch, sequential):
             assert (got is None) == (want is None)
             if got is not None:
@@ -300,71 +203,6 @@ class TestContiguousStore:
             hit = index.query(vec("r", v), threshold=1e-5)
             assert hit is not None
 
-    def test_lsh_store_survives_churn(self):
-        index = LshIndex(dim=8, n_tables=4, n_bits=4)
-        rng = np.random.default_rng(7)
-        population = rng.normal(size=(80, 8))
-        for i, v in enumerate(population):
-            index.insert(i, vec("r", v))
-        for i in range(40):
-            index.remove(i)
-        for i in range(40):
-            index.insert(100 + i, vec("r", population[i]))
-        assert len(index) == 80
-        hit = index.query(vec("r", population[10]), threshold=1e-5)
-        assert hit is not None and hit[0] == 110  # the reinserted id
-
-
-class TestLshCostModel:
-    """Regression: lookup pricing must not depend on the previous query."""
-
-    def test_first_lookup_is_not_undercharged(self):
-        # Seed bug: cost was priced from the *previous* query's candidate
-        # set, so the first lookup after construction charged zero
-        # candidates regardless of occupancy.
-        index = LshIndex(dim=8, n_tables=2, n_bits=4)
-        rng = np.random.default_rng(8)
-        for i in range(64):
-            index.insert(i, vec("r", rng.normal(size=8)))
-        floor = index.BASE_COST_S + index.PER_TABLE_COST_S * index.n_tables
-        expected = 2 * 64 / 2 ** 4  # n_tables * n / buckets
-        assert index.lookup_cost_s() == pytest.approx(
-            floor + index.PER_CANDIDATE_COST_S * expected)
-        assert index.lookup_cost_s() > floor
-
-    def test_estimate_is_stateless_across_queries(self):
-        index = LshIndex(dim=8, n_tables=4, n_bits=4)
-        rng = np.random.default_rng(9)
-        for i in range(50):
-            index.insert(i, vec("r", rng.normal(size=8)))
-        before = index.lookup_cost_s()
-        index.query(vec("r", rng.normal(size=8)), threshold=0.5)
-        assert index.lookup_cost_s() == before
-
-    def test_query_records_its_own_cost_atomically(self):
-        index = LshIndex(dim=8, n_tables=4, n_bits=4)
-        rng = np.random.default_rng(10)
-        for i in range(50):
-            index.insert(i, vec("r", rng.normal(size=8)))
-        assert index.last_query_cost_s is None
-        index.query(vec("r", rng.normal(size=8)), threshold=0.5)
-        assert index.last_query_cost_s == pytest.approx(
-            index.BASE_COST_S
-            + index.PER_TABLE_COST_S * index.n_tables
-            + index.PER_CANDIDATE_COST_S * index.last_candidates)
-
-    def test_expected_candidates_capped_at_occupancy(self):
-        index = LshIndex(dim=4, n_tables=8, n_bits=1)  # 2 buckets/table
-        rng = np.random.default_rng(11)
-        for i in range(10):
-            index.insert(i, vec("r", rng.normal(size=4)))
-        # Uniform estimate would be 8 * 10 / 2 = 40 > occupancy.
-        assert index.lookup_cost_s() <= index._price(10.0)
-
-    def test_n_bits_capped_for_int64_signatures(self):
-        with pytest.raises(ValueError):
-            LshIndex(dim=4, n_bits=63)
-
 
 class TestMemoryFootprint:
     """The default store really is float32-sized — a silent regression
@@ -395,16 +233,6 @@ class TestMemoryFootprint:
         default = self._filled()
         # 1 B codes + per-row float32 scale/offset/norm vs 4 B floats.
         assert quantized.memory_bytes() <= 0.35 * default.memory_bytes()
-
-    def test_ivf_accounts_centroids(self):
-        rng = np.random.default_rng(12)
-        ivf = IvfIndex(dim=self.DIM)
-        items = [(i, VectorDescriptor("r", rng.normal(size=self.DIM)))
-                 for i in range(512)]
-        ivf.insert_batch(items)
-        assert ivf.trained
-        linear = self._filled()
-        assert ivf.memory_bytes() > linear.memory_bytes()
 
 
 class TestFusedSegments:

@@ -15,7 +15,6 @@ from repro.core.index import (
     ExactIndex,
     IndexEntryExists,
     LinearIndex,
-    LshIndex,
 )
 
 DIM = 16
@@ -83,41 +82,6 @@ class TestLinearIndexBatch:
         assert index.query(items[4][1], 1e-5)[0] == items[4][0]
 
 
-class TestLshIndexBatch:
-    def test_matches_sequential_inserts(self):
-        rng = np.random.default_rng(4)
-        items = batch_items(rng, 40)
-        batched = LshIndex(dim=DIM)
-        batched.insert_batch(items)
-        sequential = LshIndex(dim=DIM)
-        for entry_id, descriptor in items:
-            sequential.insert(entry_id, descriptor)
-
-        assert len(batched) == len(sequential) == 40
-        assert batched._tables == sequential._tables
-        for _, descriptor in items:
-            assert (batched.query(descriptor, 0.5)
-                    == sequential.query(descriptor, 0.5))
-
-    def test_remove_after_batch_insert(self):
-        rng = np.random.default_rng(5)
-        items = batch_items(rng, 12)
-        index = LshIndex(dim=DIM)
-        index.insert_batch(items)
-        index.remove(items[0][0])
-        assert len(index) == 11
-        assert index.query(items[0][1], 1e-5) is None
-
-    def test_duplicate_id_rejected_atomically(self):
-        rng = np.random.default_rng(6)
-        index = LshIndex(dim=DIM)
-        with pytest.raises(IndexEntryExists):
-            index.insert_batch([(1, vec_descriptor(rng)),
-                                (1, vec_descriptor(rng))])
-        # Validation happens before any mutation: nothing landed.
-        assert len(index) == 0
-
-
 class TestExactIndexBatch:
     def test_default_batch_path(self):
         index = ExactIndex()
@@ -136,9 +100,9 @@ class TestCacheInsertBatch:
     def test_matches_sequential_semantics(self):
         rng = np.random.default_rng(7)
         items = self._items(rng, 20)
-        batched = ICCache(capacity_bytes=10_000, descriptor_dim=DIM)
+        batched = ICCache(capacity_bytes=10_000)
         entries = batched.insert_batch(items, now=1.0)
-        sequential = ICCache(capacity_bytes=10_000, descriptor_dim=DIM)
+        sequential = ICCache(capacity_bytes=10_000)
         for descriptor, result, size in items:
             sequential.insert(descriptor, result, size, now=1.0)
 
@@ -152,7 +116,7 @@ class TestCacheInsertBatch:
 
     def test_eviction_mid_batch(self):
         rng = np.random.default_rng(8)
-        cache = ICCache(capacity_bytes=1_000, descriptor_dim=DIM)
+        cache = ICCache(capacity_bytes=1_000)
         entries = cache.insert_batch(self._items(rng, 15, size_bytes=100))
         assert all(e is not None for e in entries)
         # 15 x 100 B into 1000 B: five evictions, accounting intact.
@@ -165,7 +129,7 @@ class TestCacheInsertBatch:
 
     def test_oversize_rejected_in_place(self):
         rng = np.random.default_rng(9)
-        cache = ICCache(capacity_bytes=500, descriptor_dim=DIM)
+        cache = ICCache(capacity_bytes=500)
         items = [(vec_descriptor(rng), "small", 100),
                  (vec_descriptor(rng), "huge", 501),
                  (vec_descriptor(rng), "small2", 100)]
@@ -177,7 +141,7 @@ class TestCacheInsertBatch:
 
     def test_mixed_kinds_share_one_batch(self):
         rng = np.random.default_rng(10)
-        cache = ICCache(capacity_bytes=10_000, descriptor_dim=DIM)
+        cache = ICCache(capacity_bytes=10_000)
         items = [
             (vec_descriptor(rng), "vec0", 100),
             (HashDescriptor(kind="model_load", digest="aa"), "model", 200),
@@ -192,13 +156,13 @@ class TestCacheInsertBatch:
 
     def test_negative_size_raises(self):
         rng = np.random.default_rng(11)
-        cache = ICCache(capacity_bytes=500, descriptor_dim=DIM)
+        cache = ICCache(capacity_bytes=500)
         with pytest.raises(ValueError):
             cache.insert_batch([(vec_descriptor(rng), "x", -1)])
 
     def test_index_failure_rolls_back_pending_entries(self):
         rng = np.random.default_rng(12)
-        cache = ICCache(capacity_bytes=10_000, descriptor_dim=DIM)
+        cache = ICCache(capacity_bytes=10_000)
         good = vec_descriptor(rng)
         cache.insert(good, "seed", 100)
         bad = VectorDescriptor(kind="recognition",

@@ -9,6 +9,7 @@ from repro.core.scenario import (
     EdgeSpec,
     InterEdgeLinkSpec,
     BackgroundTrafficSpec,
+    EdgePolicySpec,
     MobilitySpec,
     ScenarioSpec,
     WarmupSpec,
@@ -210,6 +211,26 @@ class TestSerialization:
         restored = self._roundtrip(spec)
         assert restored.background == background
         assert restored == spec
+
+    @pytest.mark.parametrize("cls, data, unknown", [
+        (EdgePolicySpec, {"admision": "shed"}, "admision"),
+        (EdgePolicySpec, {"vector_dtyp": "float32"}, "vector_dtyp"),
+        (MobilitySpec, {"n_places": 4, "dwell_s": 3.0}, "dwell_s"),
+        (BackgroundTrafficSpec, {"period_s": 60.0, "peak": 0.2}, "peak"),
+    ])
+    def test_from_dict_rejects_unknown_keys(self, cls, data, unknown):
+        # A stale or misspelt key must fail loudly, not silently run a
+        # different deployment.
+        with pytest.raises(ValueError,
+                           match=f"unknown {cls.__name__} keys: {unknown}"):
+            cls.from_dict(data)
+
+    def test_unknown_policy_key_rejected_through_scenario(self):
+        data = ScenarioSpec.metro(n_edges=2).to_dict()
+        data["policy"] = {"admission": "shed", "ofload": "affinity"}
+        with pytest.raises(ValueError,
+                           match="unknown EdgePolicySpec keys: ofload"):
+            ScenarioSpec.from_dict(data)
 
 
 class TestAccessAndBiasValidation:

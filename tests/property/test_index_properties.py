@@ -1,4 +1,4 @@
-"""Property-based tests: index implementations agree with brute force."""
+"""Property-based tests: the exact vector index agrees with brute force."""
 
 import hypothesis.strategies as st
 import numpy as np
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from repro.core.descriptors import VectorDescriptor
 from repro.core.distance import pairwise
-from repro.core.index import IvfIndex, LinearIndex, LshIndex
+from repro.core.index import LinearIndex
 
 DIM = 8
 
@@ -44,41 +44,25 @@ def test_linear_index_matches_brute_force(stored, query, threshold):
         assert got is None
 
 
-@given(stored=st.lists(finite_vector, min_size=1, max_size=15,
-                       unique_by=tuple))
-@settings(max_examples=50, deadline=None)
-def test_lsh_self_query_always_hits(stored):
-    """Querying an indexed vector itself must find it (distance 0)."""
-    index = LshIndex(dim=DIM, n_tables=6, n_bits=4)
-    for i, vec in enumerate(stored):
-        index.insert(i, vd(vec))
-    for i, vec in enumerate(stored):
-        # Self-match distance floor is dtype-bound (~1e-7 in the
-        # default float32 storage), hence the 1e-5 threshold.
-        hit = index.query(vd(vec), threshold=1e-5)
-        assert hit is not None
-        assert hit[1] <= 1e-5
-
-
 @given(stored=st.lists(finite_vector, min_size=2, max_size=15),
        removals=st.data())
 @settings(max_examples=50, deadline=None)
 def test_insert_remove_consistency(stored, removals):
     """After removals, removed ids never surface; survivors still do."""
-    for index in (LinearIndex(), LshIndex(dim=DIM, n_tables=4, n_bits=4)):
-        for i, vec in enumerate(stored):
-            index.insert(i, vd(vec))
-        to_remove = removals.draw(st.sets(
-            st.integers(min_value=0, max_value=len(stored) - 1),
-            max_size=len(stored)))
-        for i in to_remove:
-            index.remove(i)
-        assert len(index) == len(stored) - len(to_remove)
-        for i, vec in enumerate(stored):
-            hit = index.query(vd(vec), threshold=1e-9)
-            if i in to_remove:
-                assert hit is None or hit[0] != i
-            # Survivors are found unless a duplicate vector shadows them.
+    index = LinearIndex()
+    for i, vec in enumerate(stored):
+        index.insert(i, vd(vec))
+    to_remove = removals.draw(st.sets(
+        st.integers(min_value=0, max_value=len(stored) - 1),
+        max_size=len(stored)))
+    for i in to_remove:
+        index.remove(i)
+    assert len(index) == len(stored) - len(to_remove)
+    for i, vec in enumerate(stored):
+        hit = index.query(vd(vec), threshold=1e-9)
+        if i in to_remove:
+            assert hit is None or hit[0] != i
+        # Survivors are found unless a duplicate vector shadows them.
 
 
 @given(stored=st.lists(finite_vector, min_size=1, max_size=20),
@@ -101,25 +85,6 @@ def test_linear_query_batch_identical_to_sequential(stored, queries,
             assert got[0] == want[0]
             # Decisions are exact; reported distances wobble within the
             # dtype's gemm margin (float32 default: ~1e-7).
-            assert abs(got[1] - want[1]) < 1e-5
-
-
-@given(stored=st.lists(finite_vector, min_size=1, max_size=20),
-       queries=st.lists(finite_vector, min_size=0, max_size=10),
-       threshold=st.floats(min_value=0.0, max_value=2.0))
-@settings(max_examples=60, deadline=None)
-def test_lsh_query_batch_identical_to_sequential(stored, queries,
-                                                 threshold):
-    index = LshIndex(dim=DIM, n_tables=6, n_bits=4)
-    for i, vec in enumerate(stored):
-        index.insert(i, vd(vec))
-    probes = [vd(q) for q in queries]
-    batch = index.query_batch(probes, threshold)
-    sequential = [index.query(p, threshold) for p in probes]
-    for got, want in zip(batch, sequential):
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert got[0] == want[0]
             assert abs(got[1] - want[1]) < 1e-5
 
 
@@ -148,28 +113,6 @@ def test_cache_lookup_batch_identical_to_sequential(stored, queries):
        queries=st.lists(finite_vector, min_size=0, max_size=8),
        threshold=st.floats(min_value=0.0, max_value=2.0))
 @settings(max_examples=50, deadline=None)
-def test_ivf_query_batch_identical_to_sequential(stored, queries,
-                                                 threshold):
-    """IVF batched answers match the sequential path element-wise,
-    both before training (exact-scan fallback) and after."""
-    index = IvfIndex(dim=DIM, min_train=8, seed=3)
-    for i, vec in enumerate(stored):
-        index.insert(i, vd(vec))
-    probes = [vd(q) for q in queries]
-    batch = index.query_batch(probes, threshold)
-    sequential = [index.query(p, threshold) for p in probes]
-    assert len(batch) == len(sequential)
-    for got, want in zip(batch, sequential):
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert got[0] == want[0]
-            assert abs(got[1] - want[1]) < 1e-5
-
-
-@given(stored=st.lists(finite_vector, min_size=1, max_size=20),
-       queries=st.lists(finite_vector, min_size=0, max_size=8),
-       threshold=st.floats(min_value=0.0, max_value=2.0))
-@settings(max_examples=50, deadline=None)
 def test_int8_query_batch_identical_to_sequential(stored, queries,
                                                   threshold):
     """Scalar-quantized storage: batch == sequential, decision-exact."""
@@ -184,77 +127,3 @@ def test_int8_query_batch_identical_to_sequential(stored, queries,
         if got is not None:
             assert got[0] == want[0]
             assert abs(got[1] - want[1]) < 1e-5
-
-
-@given(stored=st.lists(finite_vector, min_size=2, max_size=20),
-       removals=st.data())
-@settings(max_examples=40, deadline=None)
-def test_ivf_insert_remove_round_trip(stored, removals):
-    """Under swap-compaction, removed ids never surface and every
-    survivor still answers its own vector (small sets probe all cells,
-    so the search is exhaustive)."""
-    index = IvfIndex(dim=DIM, min_train=8, seed=5)
-    for i, vec in enumerate(stored):
-        index.insert(i, vd(vec))
-    to_remove = removals.draw(st.sets(
-        st.integers(min_value=0, max_value=len(stored) - 1),
-        max_size=len(stored) - 1))
-    for i in to_remove:
-        index.remove(i)
-    assert len(index) == len(stored) - len(to_remove)
-    survivors = [i for i in range(len(stored)) if i not in to_remove]
-    for i in survivors:
-        hit = index.query(vd(stored[i]), threshold=1e-5)
-        assert hit is not None and hit[0] not in to_remove
-    # Re-inserting a removed id round-trips cleanly.
-    for i in sorted(to_remove):
-        index.insert(i, vd(stored[i]))
-    assert len(index) == len(stored)
-
-
-def test_ivf_recall_floor_vs_exact_across_seeds():
-    """IVF recall vs LinearIndex ground truth stays >= the acceptance
-    floor (0.95) on near-duplicate workloads, across seeds, with the
-    trained coarse quantizer actually in play."""
-    for seed in range(3):
-        rng = np.random.default_rng(seed)
-        population = rng.normal(size=(2000, 64))
-        population /= np.linalg.norm(population, axis=1, keepdims=True)
-        linear = LinearIndex()
-        ivf = IvfIndex(dim=64, seed=seed)
-        items = [(i, vd(vec)) for i, vec in enumerate(population)]
-        linear.insert_batch(items)
-        ivf.insert_batch(items)
-        assert ivf.trained, f"seed {seed}: expected a trained quantizer"
-        probes = [vd(population[i] + rng.normal(0, 0.02, 64))
-                  for i in range(100)]
-        truth = linear.query_batch(probes, threshold=0.05)
-        got = ivf.query_batch(probes, threshold=0.05)
-        matched = [(a, b) for a, b in zip(truth, got) if a is not None]
-        assert matched, f"seed {seed}: ground truth found no matches"
-        recall = sum(1 for a, b in matched
-                     if b is not None and b[0] == a[0]) / len(matched)
-        assert recall >= 0.95, f"seed {seed}: recall {recall:.2f} < 0.95"
-
-
-def test_lsh_recall_floor_across_seeds():
-    """LSH recall vs LinearIndex ground truth stays >= the documented
-    0.8 floor on near-duplicate workloads, across seeds."""
-    for seed in range(5):
-        rng = np.random.default_rng(seed)
-        population = rng.normal(size=(250, 64))
-        population /= np.linalg.norm(population, axis=1, keepdims=True)
-        linear = LinearIndex()
-        lsh = LshIndex(dim=64, n_tables=8, n_bits=10, seed=seed)
-        for i, vec in enumerate(population):
-            linear.insert(i, vd(vec))
-            lsh.insert(i, vd(vec))
-        probes = [vd(population[i] + rng.normal(0, 0.02, 64))
-                  for i in range(60)]
-        truth = linear.query_batch(probes, threshold=0.05)
-        got = lsh.query_batch(probes, threshold=0.05)
-        matched = [(a, b) for a, b in zip(truth, got) if a is not None]
-        assert matched, f"seed {seed}: ground truth found no matches"
-        recall = sum(1 for a, b in matched
-                     if b is not None and b[0] == a[0]) / len(matched)
-        assert recall >= 0.8, f"seed {seed}: recall {recall:.2f} < 0.8"
