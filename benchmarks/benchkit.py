@@ -11,7 +11,10 @@ its fixtures and the terminal-summary hook.
 """
 
 import json
+import os
 import pathlib
+import platform
+import subprocess
 
 _BLOCKS: list[str] = []
 _BENCH_DIR = pathlib.Path(__file__).resolve().parent
@@ -32,3 +35,28 @@ def emit_json(name: str, payload: dict) -> pathlib.Path:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     emit(f"[machine-readable results -> {path}]")
     return path
+
+
+def provenance(**extra) -> dict:
+    """Where a full bench run came from: commit, toolchain, machine.
+
+    ``dirty`` is true when the checkout had uncommitted changes, so the
+    numbers belong to the commit plus a working-tree diff.  ``extra``
+    records run parameters such as the repeat count.
+    """
+    import numpy
+
+    def git(*args: str) -> str:
+        try:
+            return subprocess.run(
+                ["git", *args], cwd=_BENCH_DIR, capture_output=True,
+                text=True, timeout=10, check=True).stdout.strip()
+        except (OSError, subprocess.SubprocessError):
+            return ""
+
+    return {"commit": git("rev-parse", "HEAD") or "unknown",
+            "dirty": bool(git("status", "--porcelain",
+                                 "--untracked-files=no")),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__, "nproc": os.cpu_count(),
+            "machine": platform.machine(), **extra}

@@ -2,9 +2,9 @@
 
 Each edge in the scenario becomes one :class:`EdgeService`: an asyncio
 socket server holding a *real* :class:`~repro.core.cache.ICCache`
-(whatever index tier and storage dtype the spec configured) and the
-same deterministic embedding geometry the simulation uses.  A
-``recognize`` frame is served exactly like the simulated fast path:
+(configured from the spec's cache settings) and the same deterministic
+embedding geometry the simulation uses.  A ``recognize`` frame is
+served exactly like the simulated fast path:
 
 1. observe the capture (``EmbeddingSpace.observe`` keyed by the
    frame's ``capture_id`` — deterministic, so both backends derive the
@@ -12,7 +12,9 @@ same deterministic embedding geometry the simulation uses.  A
 2. a real vectorized cache lookup under the scenario's match
    threshold — a hit returns the cached label straight off the box,
 3. a miss escalates to the cloud stub over its own socket, then
-   inserts the resolved result so the next nearby capture hits.
+   inserts the resolved result so the next nearby capture hits.  A
+   failed escalation answers the client with an ``error`` result, as
+   the simulated edge does when its cloud RPC fails.
 
 Robustness mirrors the simulated overload layer: with the policy's
 ``admission="shed"`` a saturated edge refuses work with a
@@ -53,7 +55,7 @@ class EdgeService:
         payload: JSON-safe construction dict (see
             ``runner.build_edge_payload``): ``name``, ``recognition``
             (embedding geometry + threshold), ``cache`` (capacity,
-            policy, metric, dtype, ttl), ``warm_classes``,
+            policy, metric, ttl), ``warm_classes``,
             ``admission``/``queue_limit`` (overload policy),
             ``cloud`` (host/port of the cloud stub, or None),
             ``extraction_s`` (optional edge-compute sleep shim).
@@ -78,8 +80,7 @@ class EdgeService:
             capacity_bytes=int(cache["capacity_bytes"]),
             policy=make_policy(cache["policy"]),
             metric=cache["metric"],
-            ttl_s=cache.get("ttl_s"),
-            vector_dtype=cache.get("vector_dtype", "float64"))
+            ttl_s=cache.get("ttl_s"))
         for cls in payload.get("warm_classes", ()):
             result = RecognitionResult(label=int(cls), confidence=0.97)
             self.cache.insert(
@@ -99,6 +100,7 @@ class EdgeService:
         self.hits = 0
         self.misses = 0
         self.shed_count = 0
+        self.errors = 0
         self.active = 0
         self._server: asyncio.AbstractServer | None = None
         self._stopping = asyncio.Event()
@@ -144,7 +146,7 @@ class EdgeService:
     def counters(self) -> dict:
         return {"edge": self.name, "served": self.served,
                 "hits": self.hits, "misses": self.misses,
-                "shed": self.shed_count,
+                "shed": self.shed_count, "errors": self.errors,
                 "cache_entries": len(self.cache)}
 
     # -- serving -------------------------------------------------------------
@@ -218,7 +220,16 @@ class EdgeService:
                         "label": int(entry.result.label),
                         "served_by": self.name}
             started = loop.time()
-            label = await self._resolve_via_cloud(message)
+            try:
+                label = await self._resolve_via_cloud(message)
+            except (ProtocolError, OSError) as exc:
+                # Cloud unreachable: tell the client rather than drop
+                # its connection (which it would read as a dead edge
+                # and re-send the request to).
+                self.errors += 1
+                return {"op": "result", "outcome": "error",
+                        "error": f"cloud escalation failed: {exc!r}",
+                        "served_by": self.name}
             result = RecognitionResult(label=label, confidence=0.97)
             self.cache.insert(descriptor, result, result.size_bytes,
                               now=loop.time(),
@@ -243,17 +254,18 @@ class EdgeService:
                    "input_bytes": int(message.get("input_bytes", 0))}
         async with self._cloud_lock:
             for attempt in (0, 1):
-                if self._cloud_streams is None:
-                    self._cloud_streams = await asyncio.open_connection(
-                        *self.cloud_addr)
                 try:
+                    if self._cloud_streams is None:
+                        self._cloud_streams = await asyncio.open_connection(
+                            *self.cloud_addr)
                     reader, cloud_writer = self._cloud_streams
                     reply = await call(reader, cloud_writer, request)
                     return int(reply["label"])
-                except (ProtocolError, ConnectionError):
+                except (ProtocolError, OSError):
                     # One reconnect: the stub may have restarted.
-                    self._cloud_streams[1].close()
-                    self._cloud_streams = None
+                    if self._cloud_streams is not None:
+                        self._cloud_streams[1].close()
+                        self._cloud_streams = None
                     if attempt:
                         raise
         raise ProtocolError("unreachable")  # pragma: no cover

@@ -100,11 +100,9 @@ def build_edge_payload(spec: "ScenarioSpec", edge_name: str,
     """The JSON-safe construction dict for one edge's EdgeService."""
     espec = next(e for e in spec.edges if e.name == edge_name)
     rec = config.recognition
-    vector_dtype = config.cache.vector_dtype
     admission = "none"
     queue_limit = None
     if spec.policy is not None:
-        vector_dtype = spec.policy.vector_dtype or vector_dtype
         admission = spec.policy.admission
         queue_limit = spec.policy.queue_limit
     warm_classes: list[int] = []
@@ -129,7 +127,6 @@ def build_edge_payload(spec: "ScenarioSpec", edge_name: str,
             "policy": config.cache.policy,
             "metric": config.cache.metric,
             "ttl_s": config.cache.ttl_s,
-            "vector_dtype": vector_dtype,
         },
         "warm_classes": warm_classes,
         "admission": admission,

@@ -18,8 +18,6 @@ import typing
 
 from repro.core.descriptors import Descriptor, HashDescriptor, VectorDescriptor
 from repro.core.index import (
-    DEFAULT_DTYPE,
-    STORE_DTYPES,
     AffinitySketch,
     DescriptorIndex,
     ExactIndex,
@@ -121,33 +119,25 @@ class ICCache:
         metric: Distance metric for vector indexes.
         ttl_s: Optional lifetime; expired entries never hit and are purged
             lazily.
-        vector_dtype: Storage dtype for vector indexes ("float32"
-            default, "float64" compatibility mode, "int8" scalar
-            quantized); see :mod:`repro.core.index`.
     """
 
     def __init__(self, capacity_bytes: int,
                  policy: EvictionPolicy | None = None,
                  default_threshold: float = 0.1,
                  metric: str = "cosine",
-                 ttl_s: float | None = None,
-                 vector_dtype: str = DEFAULT_DTYPE):
+                 ttl_s: float | None = None):
         if capacity_bytes <= 0:
             raise ValueError("capacity_bytes must be > 0")
         if default_threshold < 0:
             raise ValueError("default_threshold must be >= 0")
         if ttl_s is not None and ttl_s <= 0:
             raise ValueError("ttl_s must be > 0 when given")
-        if vector_dtype not in STORE_DTYPES:
-            raise ValueError(f"vector_dtype must be one of {STORE_DTYPES}, "
-                             f"got {vector_dtype!r}")
         self.capacity_bytes = int(capacity_bytes)
         self.policy = policy if policy is not None else LruPolicy()
         self.default_threshold = default_threshold
         self.ttl_s = ttl_s
         self.stats = CacheStats()
         self._metric = metric
-        self.vector_dtype = vector_dtype
         self._entries: dict[int, CacheEntry] = {}
         self._indexes: dict[str, DescriptorIndex] = {}
         #: One fused linear core per vector dimension; every vector
@@ -244,8 +234,7 @@ class ICCache:
             else:
                 core = self._fused_cores.get(descriptor.dim)
                 if core is None:
-                    core = FusedLinearCore(metric=self._metric,
-                                           dtype=self.vector_dtype)
+                    core = FusedLinearCore(metric=self._metric)
                     self._fused_cores[descriptor.dim] = core
                 index = core.view(kind)
             self._indexes[kind] = index

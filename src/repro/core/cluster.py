@@ -370,12 +370,6 @@ class ClusterDeployment(DeploymentDriverMixin):
             neighbours[lspec.a].append(lspec.b)
             neighbours[lspec.b].append(lspec.a)
 
-        # Scenario policy may override the deployment's storage dtype
-        # for every edge cache (empty string = inherit).
-        vector_dtype = cfg.cache.vector_dtype
-        if spec.policy is not None:
-            vector_dtype = spec.policy.vector_dtype or vector_dtype
-
         self.edges: list[EdgeNode] = []
         self.caches: list[ICCache] = []
         self.edge_recognizers: list[Recognizer] = []
@@ -386,8 +380,7 @@ class ClusterDeployment(DeploymentDriverMixin):
                                 else cfg.cache.capacity_bytes),
                 policy=make_policy(cfg.cache.policy),
                 metric=cfg.cache.metric,
-                ttl_s=cfg.cache.ttl_s,
-                vector_dtype=vector_dtype)
+                ttl_s=cfg.cache.ttl_s)
             self.caches.append(cache)
             stream_name = ("vision.edge" if len(spec.edges) == 1
                            else f"vision.edge.{espec.name}")
@@ -424,19 +417,6 @@ class ClusterDeployment(DeploymentDriverMixin):
             self.edges.append(node)
         self.edge_by_name = dict(zip(self.edge_names, self.edges))
         self.cache_by_name = dict(zip(self.edge_names, self.caches))
-
-        # -- lookup fan-out --------------------------------------------------
-        # One shared rendezvous: every edge's same-tick batch lookup
-        # joins one wave, optionally executed on threads.  Bit-identical
-        # to inline flushing (see repro.core.parallel).
-        self.lookup_fanout = None
-        if cfg.lookup_threads > 0:
-            from repro.core.parallel import TickLookupFanout
-
-            self.lookup_fanout = TickLookupFanout(
-                self.env, workers=cfg.lookup_threads)
-            for node in self.edges:
-                node.lookup_fanout = self.lookup_fanout
 
         # -- affinity gossip -------------------------------------------------
         # Each edge pushes a CacheSummary snapshot to every backhaul

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.core.index import STORE_DTYPES
-
 
 @dataclasses.dataclass
 class NetworkConfig:
@@ -170,22 +168,12 @@ class CacheConfig:
     ttl_s: float | None = None
     #: Fixed edge-side bookkeeping time charged per insert.
     insert_ms: float = 1.0
-    #: Vector storage dtype ("float32", "float64", "int8").  The
-    #: deployment default stays "float64" — the historical arithmetic —
-    #: so every pinned golden digest is bit-identical; scenarios opt
-    #: into "float32"/"int8" for the memory/throughput win (see
-    #: docs/index_tiers.md).
-    vector_dtype: str = "float64"
 
     def __post_init__(self) -> None:
         if self.capacity_mb <= 0:
             raise ValueError("capacity_mb must be > 0")
         if self.insert_ms < 0:
             raise ValueError("insert_ms must be >= 0")
-        if self.vector_dtype not in STORE_DTYPES:
-            raise ValueError(
-                f"vector_dtype must be one of {STORE_DTYPES}, "
-                f"got {self.vector_dtype!r}")
 
     @property
     def capacity_bytes(self) -> int:
@@ -209,17 +197,9 @@ class CoICConfig:
     cloud_workers: int = 8
     #: Client-side RPC deadline.
     request_timeout_s: float = 60.0
-    #: Wall-clock threads for same-tick batched lookups across
-    #: co-located edges (0 = inline, the default).  Results are
-    #: bit-identical to sequential execution — the thread pool only
-    #: overlaps disjoint per-edge BLAS passes; simulated time is
-    #: unaffected.  See repro.core.parallel.
-    lookup_threads: int = 0
 
     def __post_init__(self) -> None:
         if self.edge_workers < 1 or self.cloud_workers < 1:
             raise ValueError("worker counts must be >= 1")
         if self.request_timeout_s <= 0:
             raise ValueError("request_timeout_s must be > 0")
-        if self.lookup_threads < 0:
-            raise ValueError("lookup_threads must be >= 0")

@@ -25,11 +25,10 @@ angle — with ``l2`` and ``l2sq`` available for un-normalized feature
 spaces.
 
 Dtype contract: when *both* the matrix and the queries arrive as
-float32, the whole pipeline (gemm, norms, clipping) runs in float32 —
-half the memory traffic and roughly double the BLAS throughput, which
-is what the float32 index tier buys.  Any other input combination is
-computed in float64 exactly as before, so the float64 compatibility
-mode stays bit-identical to the historical arithmetic.
+float32 — as they always do from the index stores — the whole pipeline
+(gemm, norms, clipping) runs in float32.  Any other input combination
+(e.g. ``pairwise`` callers passing float64 arrays) is computed in
+float64.
 """
 
 from __future__ import annotations

@@ -121,10 +121,6 @@ class EdgeNode:
             tuple[Descriptor, float, Event]] = []
         self.batched_lookups = 0
         self.lookup_batches = 0
-        #: Optional :class:`~repro.core.parallel.TickLookupFanout`
-        #: shared by co-located edges; installed by the deployment when
-        #: ``config.lookup_threads > 0``.  None = flush inline.
-        self.lookup_fanout = None
         self.requests_served = 0
         #: Responses abandoned because the client's access link went
         #: down first (the client gave up on the request and moved on —
@@ -261,14 +257,8 @@ class EdgeNode:
         ordered = [item for group in groups.values() for item in group]
         descriptors = [d for d, _, _ in ordered]
         thresholds = [t for _, t, _ in ordered]
-        now = self.env.now
-        if self.lookup_fanout is not None:
-            entries = yield self.lookup_fanout.submit(
-                lambda: self.cache.lookup_batch(
-                    descriptors, now=now, thresholds=thresholds))
-        else:
-            entries = self.cache.lookup_batch(descriptors, now=now,
-                                              thresholds=thresholds)
+        entries = self.cache.lookup_batch(descriptors, now=self.env.now,
+                                          thresholds=thresholds)
         self.batched_lookups += len(ordered)
         self.lookup_batches += 1
         for (_, _, waiter), entry in zip(ordered, entries):

@@ -22,17 +22,12 @@ live rows are always the dense prefix ``matrix[:n]`` and every query is
 one contiguous BLAS pass with no masking.  Cosine queries reuse the
 cached norms instead of re-running ``np.linalg.norm`` over the store.
 
-The store is dtype-parametric.  ``"float32"`` is the default — client
-descriptors are float32 already (:class:`~repro.core.descriptors
-.VectorDescriptor` stores float32 vectors), so halving the bytes loses
-no input precision, only gemm accumulation width — and ``"float64"`` is
-the compatibility mode the deployment pipeline pins so historical
-golden digests stay byte-identical.  ``"int8"`` selects
-:class:`_QuantizedVectorStore`: scalar quantization with per-row
-scale/offset (4x smaller again), dequantized chunk-by-chunk at query
-time.  Decision-stability margins scale with the dtype: float64 wobble
-is ~1e-13, float32 gemm-order wobble is ~1e-6, so the boundary
-re-answer epsilon is 1e-9 / 1e-5 respectively.
+The store is float32.  Client descriptors are float32 already
+(:class:`~repro.core.descriptors.VectorDescriptor` stores float32
+vectors), so storage is value-exact and all query arithmetic runs in
+float32.  Batch and sequential answers may differ by float32 gemm-order
+wobble (~1e-6), so the boundary re-answer margin
+:data:`_DECISION_EPS` is 1e-5.
 
 Batch API contract
 ==================
@@ -230,23 +225,10 @@ class IndexEntryExists(ValueError):
     """The entry id is already present in the index."""
 
 
-#: Storage dtype vector indexes use unless told otherwise.  Descriptor
-#: vectors are float32 at the source, so float32 storage is value-exact;
-#: only gemm accumulation differs from the "float64" compatibility mode.
-DEFAULT_DTYPE = "float32"
-
-#: Valid ``dtype`` arguments for vector stores / indexes.
-STORE_DTYPES = ("float32", "float64", "int8")
-
-
-def _decision_eps(dtype: str) -> float:
-    """Decision-stability margin for batch-vs-sequential re-answers.
-
-    Far wider than the dtype's BLAS summation-order wobble (~1e-13 for
-    float64 accumulation, ~1e-6 for float32), far narrower than any
-    real match margin.
-    """
-    return 1e-9 if dtype == "float64" else 1e-5
+#: Decision-stability margin for batch-vs-sequential re-answers: far
+#: wider than float32 BLAS summation-order wobble (~1e-6), far narrower
+#: than any real match margin.
+_DECISION_EPS = 1e-5
 
 
 class _VectorStore:
@@ -257,21 +239,13 @@ class _VectorStore:
     swap the last live row into the freed slot (O(dim), order not
     preserved).  ``norms[:n]`` always mirrors ``matrix[:n]``.  Each row
     carries an int32 *tag* (default 0) that survives swap-compaction —
-    the fused multi-kind index stores its kind code there.
-
-    Args:
-        dtype: ``"float32"`` (default) or ``"float64"``; the matrix,
-            norms, and all query arithmetic run in this dtype.
+    the fused multi-kind index stores its kind code there.  The matrix,
+    norms and all query arithmetic are float32.
     """
 
     MIN_CAPACITY = 64
 
-    def __init__(self, dtype: str = DEFAULT_DTYPE):
-        if dtype not in ("float32", "float64"):
-            raise ValueError(f"dtype must be float32/float64, got {dtype!r}")
-        self.dtype = dtype
-        #: The float dtype queries are cast to before any arithmetic.
-        self.compute_dtype = np.dtype(dtype)
+    def __init__(self):
         self._matrix: np.ndarray | None = None  # (capacity, dim)
         self._norms: np.ndarray | None = None   # (capacity,)
         self._tags: np.ndarray | None = None    # (capacity,) int32
@@ -348,16 +322,16 @@ class _VectorStore:
 
     def _allocate(self, capacity: int, dim: int) -> None:
         self.dim = dim
-        self._matrix = np.empty((capacity, dim), dtype=self.compute_dtype)
-        self._norms = np.empty(capacity, dtype=self.compute_dtype)
+        self._matrix = np.empty((capacity, dim), dtype=np.float32)
+        self._norms = np.empty(capacity, dtype=np.float32)
         self._tags = np.zeros(capacity, dtype=np.int32)
 
     def _grow(self, capacity: int) -> None:
         n = len(self._row_ids)
-        grown = np.empty((capacity, self.dim), dtype=self.compute_dtype)
+        grown = np.empty((capacity, self.dim), dtype=np.float32)
         grown[:n] = self._matrix[:n]
         self._matrix = grown
-        grown_norms = np.empty(capacity, dtype=self.compute_dtype)
+        grown_norms = np.empty(capacity, dtype=np.float32)
         grown_norms[:n] = self._norms[:n]
         self._norms = grown_norms
         grown_tags = np.zeros(capacity, dtype=np.int32)
@@ -416,202 +390,6 @@ class _VectorStore:
             self._tags[row] = self._tags[last]
             self._row_ids[row] = last_id
             self._row_of[last_id] = row
-
-
-class _QuantizedVectorStore:
-    """int8 scalar-quantized vector storage with per-row scale/offset.
-
-    Same interface and swap-compact layout as :class:`_VectorStore`, a
-    quarter of its float32 bytes: each row is stored as int8 codes in
-    [-127, 127] plus a float32 affine ``(scale, offset)`` pair, so a
-    stored value reconstructs as ``code * scale + offset`` with at most
-    half a quantization step of error.  Norms are cached from the
-    *dequantized* rows, so query-time distances are self-consistent.
-    Queries dequantize chunk-by-chunk (:data:`CHUNK` rows at a time) to
-    bound the float32 temporary, then run the normal BLAS metric —
-    approximate storage, exact arithmetic over it.
-    """
-
-    MIN_CAPACITY = 64
-    #: Rows dequantized per query chunk; bounds the float32 temporary
-    #: at CHUNK * dim * 4 bytes (32 MB at 128-d) regardless of n.
-    CHUNK = 65536
-
-    dtype = "int8"
-    compute_dtype = np.dtype(np.float32)
-
-    def __init__(self):
-        self._codes: np.ndarray | None = None    # (capacity, dim) int8
-        self._scales: np.ndarray | None = None   # (capacity,) float32
-        self._offsets: np.ndarray | None = None  # (capacity,) float32
-        self._norms: np.ndarray | None = None    # (capacity,) float32
-        self._tags: np.ndarray | None = None     # (capacity,) int32
-        self._row_ids: list[int] = []
-        self._row_of: dict[int, int] = {}
-        self.dim: int | None = None
-
-    def __len__(self) -> int:
-        return len(self._row_ids)
-
-    def __contains__(self, entry_id: int) -> bool:
-        return entry_id in self._row_of
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dequantized (n, dim) float32 matrix of the live rows.
-
-        Materializes the whole store — fine for small stores and tests;
-        queries should go through :meth:`distances`, which chunks.
-        """
-        return self._dequant(np.arange(len(self._row_ids), dtype=np.intp))
-
-    @property
-    def norms(self) -> np.ndarray:
-        """Cached norms of the dequantized live rows; (n,) view."""
-        return self._norms[:len(self._row_ids)]
-
-    @property
-    def tags(self) -> np.ndarray:
-        return self._tags[:len(self._row_ids)]
-
-    def id_at(self, row: int) -> int:
-        return self._row_ids[row]
-
-    def rows_for(self, entry_ids: typing.Sequence[int]) -> np.ndarray:
-        return np.fromiter((self._row_of[i] for i in entry_ids),
-                           dtype=np.intp, count=len(entry_ids))
-
-    def _dequant(self, rows: np.ndarray) -> np.ndarray:
-        out = self._codes[rows].astype(np.float32)
-        out *= self._scales[rows, None]
-        out += self._offsets[rows, None]
-        return out
-
-    def distances(self, metric_batch, queries: np.ndarray,
-                  lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """(Q, hi - lo) distances, dequantizing :data:`CHUNK` at a time.
-
-        Defaults cover every live row.  Chunk boundaries depend only on
-        the row range, never on the query count, so a batch of Q and Q
-        batches of one run byte-identical arithmetic per (query, row)
-        pair.
-        """
-        if hi is None:
-            hi = len(self._row_ids)
-        blocks = []
-        for start in range(lo, hi, self.CHUNK):
-            rows = np.arange(start, min(start + self.CHUNK, hi),
-                             dtype=np.intp)
-            blocks.append(metric_batch(self._dequant(rows), queries,
-                                       row_norms=self._norms[rows]))
-        return np.concatenate(blocks, axis=1)
-
-    def swap_rows(self, i: int, j: int) -> None:
-        """Swap two live rows in place (codes, affine params, tags, ids)."""
-        if i == j:
-            return
-        for name in ("_codes", "_scales", "_offsets", "_norms", "_tags"):
-            arr = getattr(self, name)
-            arr[[i, j]] = arr[[j, i]]
-        id_i, id_j = self._row_ids[i], self._row_ids[j]
-        self._row_ids[i], self._row_ids[j] = id_j, id_i
-        self._row_of[id_i] = j
-        self._row_of[id_j] = i
-
-    def memory_bytes(self) -> int:
-        if self._codes is None:
-            return 0
-        return (self._codes.nbytes + self._scales.nbytes
-                + self._offsets.nbytes + self._norms.nbytes
-                + self._tags.nbytes)
-
-    def _quantize(self, vec: np.ndarray
-                  ) -> tuple[np.ndarray, np.float32, np.float32]:
-        lo = float(vec.min())
-        hi = float(vec.max())
-        offset = np.float32((hi + lo) / 2.0)
-        scale = np.float32((hi - lo) / 254.0)
-        if scale == 0:
-            return np.zeros(vec.shape[0], dtype=np.int8), scale, offset
-        codes = np.clip(np.rint((vec - offset) / scale), -127, 127)
-        return codes.astype(np.int8), scale, offset
-
-    def _allocate(self, capacity: int, dim: int) -> None:
-        self.dim = dim
-        self._codes = np.empty((capacity, dim), dtype=np.int8)
-        self._scales = np.empty(capacity, dtype=np.float32)
-        self._offsets = np.empty(capacity, dtype=np.float32)
-        self._norms = np.empty(capacity, dtype=np.float32)
-        self._tags = np.zeros(capacity, dtype=np.int32)
-
-    def _grow(self, capacity: int) -> None:
-        n = len(self._row_ids)
-        for name in ("_codes", "_scales", "_offsets", "_norms", "_tags"):
-            old = getattr(self, name)
-            shape = (capacity,) + old.shape[1:]
-            grown = (np.zeros if name == "_tags" else np.empty)(
-                shape, dtype=old.dtype)
-            grown[:n] = old[:n]
-            setattr(self, name, grown)
-
-    def _set_row(self, row: int, vec: np.ndarray, tag: int) -> None:
-        codes, scale, offset = self._quantize(
-            np.asarray(vec, dtype=np.float32))
-        self._codes[row] = codes
-        self._scales[row] = scale
-        self._offsets[row] = offset
-        self._norms[row] = np.linalg.norm(
-            self._dequant(np.array([row], dtype=np.intp))[0])
-        self._tags[row] = tag
-
-    def add(self, entry_id: int, vec: np.ndarray, tag: int = 0) -> None:
-        if self._codes is None:
-            self._allocate(max(self.MIN_CAPACITY, 1), vec.shape[0])
-        n = len(self._row_ids)
-        if n == self._codes.shape[0]:
-            self._grow(2 * n)
-        self._set_row(n, vec, tag)
-        self._row_ids.append(entry_id)
-        self._row_of[entry_id] = n
-
-    def add_batch(self, entry_ids: typing.Sequence[int],
-                  matrix: np.ndarray, tag: int = 0) -> None:
-        k = len(entry_ids)
-        if k == 0:
-            return
-        if self._codes is None:
-            self._allocate(max(self.MIN_CAPACITY, k), matrix.shape[1])
-        n = len(self._row_ids)
-        if n + k > self._codes.shape[0]:
-            capacity = self._codes.shape[0]
-            while capacity < n + k:
-                capacity *= 2
-            self._grow(capacity)
-        for j, entry_id in enumerate(entry_ids):
-            # Row-at-a-time so batch and scalar inserts quantize (and
-            # cache norms) bit-identically.
-            self._set_row(n + j, matrix[j], tag)
-            self._row_ids.append(entry_id)
-            self._row_of[entry_id] = n + j
-
-    def remove(self, entry_id: int) -> None:
-        row = self._row_of.pop(entry_id)
-        last = len(self._row_ids) - 1
-        last_id = self._row_ids.pop()
-        if row != last:
-            self._codes[row] = self._codes[last]
-            self._scales[row] = self._scales[last]
-            self._offsets[row] = self._offsets[last]
-            self._norms[row] = self._norms[last]
-            self._tags[row] = self._tags[last]
-            self._row_ids[row] = last_id
-            self._row_of[last_id] = row
-
-
-def _make_store(dtype: str) -> "_VectorStore | _QuantizedVectorStore":
-    if dtype == "int8":
-        return _QuantizedVectorStore()
-    return _VectorStore(dtype=dtype)
 
 
 class DescriptorIndex:
@@ -736,13 +514,11 @@ class LinearIndex(DescriptorIndex):
     BASE_COST_S = 5e-5
     PER_VECTOR_COST_S = 2.5e-7
 
-    def __init__(self, metric: str = "cosine", dtype: str = DEFAULT_DTYPE):
+    def __init__(self, metric: str = "cosine"):
         self.metric_name = metric
-        self.dtype = dtype
         self._metric = get_metric(metric)
         self._metric_batch = get_metric_batch(metric)
-        self._store = _make_store(dtype)
-        self._eps = _decision_eps(dtype)
+        self._store = _VectorStore()
         self.last_query_cost_s: float | None = None
 
     def insert(self, entry_id: int, descriptor: Descriptor) -> None:
@@ -800,8 +576,8 @@ class LinearIndex(DescriptorIndex):
         for q, row in enumerate(best):
             d = float(best_distance[q])
             if len(vecs) > 1 and (
-                    abs(d - threshold) <= self._eps
-                    or runner_up[q] - d <= self._eps):
+                    abs(d - threshold) <= _DECISION_EPS
+                    or runner_up[q] - d <= _DECISION_EPS):
                 # Boundary case: a one-query gemm and a Q-query gemm may
                 # round differently (summation order), which could flip
                 # an exact tie or a threshold-edge decision.  Re-answer
@@ -831,8 +607,7 @@ class LinearIndex(DescriptorIndex):
                   for_query: bool = False) -> np.ndarray:
         if not isinstance(descriptor, VectorDescriptor):
             raise TypeError("LinearIndex stores VectorDescriptor keys")
-        vec = np.asarray(descriptor.vector,
-                         dtype=self._store.compute_dtype)
+        vec = np.asarray(descriptor.vector, dtype=np.float32)
         if self._store.dim is not None and vec.shape[0] != self._store.dim:
             raise ValueError(
                 f"dimension mismatch: index is {self._store.dim}-d, "
@@ -865,13 +640,11 @@ class FusedLinearCore:
     dedicated LinearIndex arithmetic (same matrix, same BLAS calls).
     """
 
-    def __init__(self, metric: str = "cosine", dtype: str = DEFAULT_DTYPE):
+    def __init__(self, metric: str = "cosine"):
         self.metric_name = metric
-        self.dtype = dtype
         self._metric = get_metric(metric)
         self._metric_batch = get_metric_batch(metric)
-        self._store = _make_store(dtype)
-        self._eps = _decision_eps(dtype)
+        self._store = _VectorStore()
         self._codes: dict[str, int] = {}
         self._views: dict[str, _FusedKindView] = {}
         self._counts: dict[int, int] = {}     # code -> live rows
@@ -992,12 +765,10 @@ class FusedLinearCore:
             return [None] * len(vecs)
         if len(vecs) > 1:
             self.fused_batches += 1
-        # Multi-query cosine bursts over float storage take the pruned
-        # score-space path; everything else (single queries — including
-        # boundary re-answers — other metrics, int8 storage) runs the
-        # full distance kernel.
-        fast = (len(vecs) > 1 and self.metric_name == "cosine"
-                and isinstance(self._store, _VectorStore))
+        # Multi-query cosine bursts take the pruned score-space path;
+        # everything else (single queries — including boundary
+        # re-answers — and other metrics) runs the full distance kernel.
+        fast = len(vecs) > 1 and self.metric_name == "cosine"
         results: list[tuple[int, float] | None] = [None] * len(vecs)
         by_kind: dict[str, list[int]] = {}
         for q, kind in enumerate(kinds):
@@ -1024,8 +795,8 @@ class FusedLinearCore:
                 d = float(best_distance[i])
                 threshold = thresholds[q]
                 if len(vecs) > 1 and (
-                        abs(d - threshold) <= self._eps
-                        or runner_up[i] - d <= self._eps):
+                        abs(d - threshold) <= _DECISION_EPS
+                        or runner_up[i] - d <= _DECISION_EPS):
                     # Same boundary rule as LinearIndex.query_batch:
                     # near a tie or the threshold edge, re-answer
                     # through the batch-of-one path so stacked and
@@ -1109,8 +880,7 @@ class FusedLinearCore:
     def _validate(self, descriptor: Descriptor) -> np.ndarray:
         if not isinstance(descriptor, VectorDescriptor):
             raise TypeError("FusedLinearCore stores VectorDescriptor keys")
-        vec = np.asarray(descriptor.vector,
-                         dtype=self._store.compute_dtype)
+        vec = np.asarray(descriptor.vector, dtype=np.float32)
         if self._store.dim is not None and vec.shape[0] != self._store.dim:
             raise ValueError(
                 f"dimension mismatch: index is {self._store.dim}-d, "
@@ -1132,7 +902,6 @@ class _FusedKindView(DescriptorIndex):
         self.kind = kind
         self._code = code
         self.metric_name = core.metric_name
-        self.dtype = core.dtype
         self.last_query_cost_s: float | None = None
 
     def insert(self, entry_id: int, descriptor: Descriptor) -> None:

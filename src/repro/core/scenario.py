@@ -40,8 +40,6 @@ import dataclasses
 import itertools
 import typing
 
-from repro.core.index import STORE_DTYPES
-
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
@@ -521,11 +519,6 @@ class EdgePolicySpec:
             wires this into every :class:`~repro.core.client
             .CoICClient`.  0 keeps the pre-backoff behaviour: the app
             sees the ``shed`` outcome immediately.
-        vector_dtype: Override the vector storage dtype for every edge
-            cache — ``"float32"`` (4 B/element), ``"float64"``
-            (compatibility mode), or ``"int8"`` (scalar-quantized,
-            1 B/element).  Empty string (default) inherits
-            ``CacheConfig.vector_dtype``.
         layer_tap_budget_frac: Per-edge activation byte budget for
             layer-cache taps, as a fraction of the edge cache's
             capacity: taps whose single activation exceeds
@@ -547,7 +540,6 @@ class EdgePolicySpec:
     layer_reuse: bool = False
     layer_plan_margin_s: float = 0.0
     shed_retries: int = 0
-    vector_dtype: str = ""
     layer_tap_budget_frac: float | None = None
 
     def __post_init__(self) -> None:
@@ -568,10 +560,6 @@ class EdgePolicySpec:
         _require(self.layer_plan_margin_s >= 0,
                  "layer_plan_margin_s must be >= 0")
         _require(self.shed_retries >= 0, "shed_retries must be >= 0")
-        _require(self.vector_dtype == ""
-                 or self.vector_dtype in STORE_DTYPES,
-                 f"vector_dtype must be '' or one of {STORE_DTYPES}, "
-                 f"got {self.vector_dtype!r}")
         if self.layer_tap_budget_frac is not None:
             _require(0 < self.layer_tap_budget_frac <= 1,
                      "layer_tap_budget_frac must be in (0, 1]")

@@ -11,7 +11,7 @@ Module                Reproduces
 ``layers``            A4 — fine-grained DNN-layer cache (paper §4)
 ``privacy_exp``       A5 — descriptor privacy / utility trade-off (paper §4)
 ``panorama_exp``      A6 — VR panorama streaming benefit
-``index_scaling``     A7 — exact descriptor scan scaling and storage dtypes
+``index_scaling``     A7 — exact descriptor scan scaling, per-kind vs fused
 ``speculative``       A8 — speculative cloud forwarding on misses
 ``layer_reuse_exp``   A13 — partial-inference serving from the layer caches
 ``city_scale``        A14 — city-scale kernel gauge (simulated metro hour)

@@ -7,8 +7,9 @@ and measures (a) real wall-clock query time of the per-query and
 batched (`query_batch`) paths, (b) the simulated cost model the edge
 charges, and (c) the speedup over the pre-optimization implementation
 (`_LegacyLinearScan`), which is what BENCH json files track as the
-before/after trajectory.  :func:`run_tier_scaling` then compares the
-storage dtypes and the fused multi-kind core at 10^5-10^6 entries.
+before/after trajectory.  :func:`run_tier_scaling` then compares
+per-kind linear scans with the fused multi-kind core at 10^5-10^6
+entries.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.vision.features import EmbeddingSpace
 
 DEFAULT_SIZES = (100, 1_000, 5_000, 10_000, 20_000)
 DEFAULT_TIER_SIZES = (100_000, 1_000_000)
+DEFAULT_TIMING_REPS = 3
 
 
 class _LegacyLinearScan:
@@ -157,72 +159,74 @@ def run_index_scaling(sizes: typing.Sequence[int] = DEFAULT_SIZES,
 
 @dataclasses.dataclass(frozen=True)
 class TierRow:
-    """One occupancy level of the storage tier comparison.
+    """One occupancy level of the per-kind vs fused comparison.
 
     The workload mirrors a metro aggregation cache: one dominant vector
     kind (recognition descriptors, 95% of rows) plus a thin secondary
     kind sharing the same dimension, probed by near-duplicate queries.
-    ``float64_perkind_us`` is the deployment-default path (one float64
-    LinearIndex per kind); the other timings are the opt-in float32
-    fused core and int8 storage.  Memory columns are the allocated store bytes for the same
-    population inserted in one burst (so capacity equals occupancy and
-    dtypes compare like for like).
+    ``perkind_us`` answers the burst with one :class:`LinearIndex` per
+    kind; ``fused_us`` with the :class:`FusedLinearCore` the cache
+    builds.  Both store float32.  Timings are the minimum over
+    ``timing_reps`` interleaved passes; ``*_spread`` is that pass set's
+    (max - min) / min.  ``memory_mb`` is the allocated store bytes of
+    the per-kind indexes, each filled in one burst (capacity equals
+    occupancy).
     """
 
     n_entries: int
-    float64_perkind_us: float
-    fused_float32_us: float
-    int8_us: float
-    float64_memory_mb: float
-    float32_memory_mb: float
-    int8_memory_mb: float
+    perkind_us: float
+    fused_us: float
+    perkind_spread: float
+    fused_spread: float
+    memory_mb: float
     fused_recall: float
-    int8_recall: float
 
     @property
     def fused_speedup(self) -> float:
-        """Fused float32 batch throughput over per-kind float64."""
-        return self.float64_perkind_us / self.fused_float32_us
+        """Fused batch throughput over per-kind linear scans."""
+        return self.perkind_us / self.fused_us
 
 
 def _time_interleaved(thunks: dict[str, typing.Callable[[], object]],
-                      reps: int) -> dict[str, float]:
-    """Min wall time per thunk over ``reps`` round-robin passes.
+                      reps: int) -> dict[str, list[float]]:
+    """Wall time of each thunk in each of ``reps`` round-robin passes.
 
-    Interleaving the tiers (ABC ABC ...) instead of timing each one in
-    a block means a load spike or thermal dip hits every tier, not
-    whichever one happened to be running; the per-tier minimum then
-    compares like against like.
+    Interleaving the tiers (AB AB ...) instead of timing each one in a
+    block means a load spike or thermal dip hits every tier, not
+    whichever one happened to be running.
     """
     gc.collect()
-    best = {name: np.inf for name in thunks}
+    walls: dict[str, list[float]] = {name: [] for name in thunks}
     for _ in range(reps):
         for name, fn in thunks.items():
             start = time.perf_counter()
             fn()
-            best[name] = min(best[name], time.perf_counter() - start)
-    return best
+            walls[name].append(time.perf_counter() - start)
+    return walls
+
+
+def _spread(samples: list[float]) -> float:
+    return (max(samples) - min(samples)) / min(samples)
 
 
 def run_tier_scaling(sizes: typing.Sequence[int] = DEFAULT_TIER_SIZES,
                      dim: int = 128, n_queries: int = 200,
                      threshold: float = 0.05, aux_every: int = 20,
                      noise: float = 0.02, seed: int = 0,
-                     timing_reps: int = 3) -> list[TierRow]:
-    """Measure the storage tiers at 10^5-10^6 occupancy.
+                     timing_reps: int = DEFAULT_TIMING_REPS
+                     ) -> list[TierRow]:
+    """Measure per-kind and fused exact scans at 10^5-10^6 occupancy.
 
     Population: ``n`` unit vectors, every ``aux_every``-th row tagged as
     a secondary kind sharing the dimension (the realistic shape — the
     recognition namespace dominates a deployed cache).  Queries are
     near-duplicates of stored rows (``noise`` perturbation, well inside
-    ``threshold``), so exact search always matches and quantized
-    recall is measured against real positives.  Tiers:
+    ``threshold``), so exact search always matches.  Tiers:
 
-    * per-kind float64 ``LinearIndex`` — the deployment default and the
-      timing/recall baseline;
-    * fused float32 ``FusedLinearCore`` — one stacked matmul across
-      kinds, the recommended tier;
-    * int8 ``LinearIndex`` — scalar-quantized storage, the memory tier.
+    * per-kind ``LinearIndex`` — one scan per kind, the timing and
+      recall baseline;
+    * ``FusedLinearCore`` — both kinds in one store, a mixed burst
+      answered with one matmul per queried kind segment.
     """
     rng = np.random.default_rng(seed)
     rows = []
@@ -251,66 +255,43 @@ def run_tier_scaling(sizes: typing.Sequence[int] = DEFAULT_TIER_SIZES,
         rec_queries = [q for q in queries if q.kind == "recognition"]
         aux_queries = [q for q in queries if q.kind == "aux"]
 
-        # Build every tier up front, then time them interleaved so the
-        # comparisons share environmental conditions.
-        #
-        # Baseline tier: one float64 LinearIndex per kind, exactly what
-        # an ICCache on the compatibility defaults holds.
-        f64_rec = LinearIndex(dtype="float64")
-        f64_rec.insert_batch(rec_items)
-        f64_aux = LinearIndex(dtype="float64")
-        f64_aux.insert_batch(aux_items)
+        # Build both tiers up front, then time them interleaved so the
+        # comparison shares environmental conditions.
+        perkind_rec = LinearIndex()
+        perkind_rec.insert_batch(rec_items)
+        perkind_aux = LinearIndex()
+        perkind_aux.insert_batch(aux_items)
 
-        # Fused float32 tier: both kinds in one store, mixed bursts
-        # answered by one stacked matmul.
-        fused = FusedLinearCore(dtype="float32")
+        fused = FusedLinearCore()
         fused.view("aux").insert_batch(aux_items)
         fused.view("recognition").insert_batch(rec_items)
 
-        # Memory is compared on single-burst stores (capacity ==
-        # occupancy); incremental growth doubles capacity at the same
-        # rate for every dtype, so the single-burst ratio is the
-        # deployed ratio.
-        f32_mem = LinearIndex(dtype="float32")
-        f32_mem.insert_batch(items)
-
-        # int8 tier: scalar-quantized storage, one store for all rows.
-        int8 = LinearIndex(dtype="int8")
-        int8.insert_batch(items)
-
         walls = _time_interleaved({
-            "f64": lambda: (f64_rec.query_batch(rec_queries, threshold),
-                            f64_aux.query_batch(aux_queries, threshold)),
+            "perkind": lambda: (
+                perkind_rec.query_batch(rec_queries, threshold),
+                perkind_aux.query_batch(aux_queries, threshold)),
             "fused": lambda: fused.query_multi(kinds, queries,
                                                thresholds),
-            "int8": lambda: int8.query_batch(queries, threshold),
         }, timing_reps)
 
-        rec_truth = iter(f64_rec.query_batch(rec_queries, threshold))
-        aux_truth = iter(f64_aux.query_batch(aux_queries, threshold))
+        rec_truth = iter(perkind_rec.query_batch(rec_queries, threshold))
+        aux_truth = iter(perkind_aux.query_batch(aux_queries, threshold))
         truth = [next(rec_truth) if kind == "recognition"
                  else next(aux_truth) for kind in kinds]
-
-        def recall_of(results):
-            matched = [(a, b) for a, b in zip(truth, results)
-                       if a is not None]
-            if not matched:
-                return float("nan")
-            return sum(1 for a, b in matched
-                       if b is not None and b[0] == a[0]) / len(matched)
-
         fused_results = fused.query_multi(kinds, queries, thresholds)
-        int8_results = int8.query_batch(queries, threshold)
+        matched = [(a, b) for a, b in zip(truth, fused_results)
+                   if a is not None]
+        recall = (sum(1 for a, b in matched
+                      if b is not None and b[0] == a[0]) / len(matched)
+                  if matched else float("nan"))
 
         rows.append(TierRow(
             n_entries=n_entries,
-            float64_perkind_us=walls["f64"] / n_queries * 1e6,
-            fused_float32_us=walls["fused"] / n_queries * 1e6,
-            int8_us=walls["int8"] / n_queries * 1e6,
-            float64_memory_mb=(f64_rec.memory_bytes()
-                               + f64_aux.memory_bytes()) / 1e6,
-            float32_memory_mb=f32_mem.memory_bytes() / 1e6,
-            int8_memory_mb=int8.memory_bytes() / 1e6,
-            fused_recall=recall_of(fused_results),
-            int8_recall=recall_of(int8_results)))
+            perkind_us=min(walls["perkind"]) / n_queries * 1e6,
+            fused_us=min(walls["fused"]) / n_queries * 1e6,
+            perkind_spread=_spread(walls["perkind"]),
+            fused_spread=_spread(walls["fused"]),
+            memory_mb=(perkind_rec.memory_bytes()
+                       + perkind_aux.memory_bytes()) / 1e6,
+            fused_recall=recall))
     return rows

@@ -8,11 +8,12 @@ deselected by default; run them with ``pytest -m real_backend``.
 """
 
 import asyncio
+import socket
 
 import pytest
 
 from repro.backend.edge_server import EdgeService
-from repro.backend.loadgen import build_workload
+from repro.backend.loadgen import RealClient, WorkloadItem, build_workload
 from repro.backend.protocol import call
 from repro.backend.runner import run_real_scenario, run_simulated_trace
 from repro.core.config import CoICConfig
@@ -21,6 +22,7 @@ from repro.core.metrics import (
     OUTCOME_HIT,
     OUTCOME_MISS,
     OUTCOME_SHED,
+    MetricsRecorder,
 )
 from repro.core.scenario import (
     ClientSpec,
@@ -49,6 +51,22 @@ def small_spec(policy=None, warm=(1, 2, 3), clients=(("m0", "m1"), ("m2",))):
         for k, row in enumerate(clients))
     return ScenarioSpec(edges=edges, policy=policy,
                         warmup=WarmupSpec(classes=warm) if warm else None)
+
+
+def edge_payload(cloud=None):
+    """A small EdgeService payload; ``cloud=None`` is the cloudless
+    mode where the edge itself is the oracle."""
+    return {
+        "name": "edge0",
+        "recognition": {"descriptor_dim": 16, "n_classes": 4,
+                        "viewpoint_scale": 0.02, "noise_sigma": 0.005,
+                        "seed": 0, "threshold": None,
+                        "max_viewpoint_delta": 5.0},
+        "cache": {"capacity_bytes": 10_000_000, "policy": "lru",
+                  "metric": "l2", "ttl_s": None},
+        "warm_classes": [], "admission": "none", "queue_limit": None,
+        "cloud": cloud,
+    }
 
 
 def triples(recorder):
@@ -168,21 +186,8 @@ class TestRobustness:
         # The graceful half of the shutdown story, at protocol level:
         # a draining edge sheds incoming work, and the shutdown frame
         # answers with the final serving counters.
-        payload = {
-            "name": "edge0",
-            "recognition": {"descriptor_dim": 16, "n_classes": 4,
-                            "viewpoint_scale": 0.02, "noise_sigma": 0.005,
-                            "seed": 0, "threshold": None,
-                            "max_viewpoint_delta": 5.0},
-            "cache": {"capacity_bytes": 10_000_000, "policy": "lru",
-                      "metric": "l2", "ttl_s": None,
-                      "vector_dtype": "float64"},
-            "warm_classes": [], "admission": "none", "queue_limit": None,
-            "cloud": None,  # cloudless: the edge itself is the oracle
-        }
-
         async def _run():
-            service = EdgeService(payload)
+            service = EdgeService(edge_payload())
             await service.start()
             reader, writer = await asyncio.open_connection(
                 "127.0.0.1", service.port)
@@ -206,6 +211,44 @@ class TestRobustness:
         assert bye["op"] == "bye"
         assert bye["served"] == 1 and bye["misses"] == 1
         assert bye["shed"] == 1 and bye["cache_entries"] == 1
+
+    def test_unreachable_cloud_answers_an_error_once_per_request(self):
+        # A miss whose cloud escalation fails comes back as an error
+        # result attributed to the edge — not a dropped connection the
+        # client would read as a dead edge and re-send through its
+        # failover walk.
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            closed_port = probe.getsockname()[1]
+        payload = edge_payload(cloud={"host": "127.0.0.1",
+                                      "port": closed_port})
+        items = [WorkloadItem(client="m0", edge="edge0", seq=seq,
+                              capture_id=seq + 1, object_class=2,
+                              viewpoint=0.1 * seq, input_bytes=0)
+                 for seq in range(2)]
+
+        async def _run():
+            service = EdgeService(payload)
+            await service.start()
+            recorder = MetricsRecorder()
+            client = RealClient(
+                "m0", [("edge0", ("127.0.0.1", service.port))], items,
+                recorder)
+            try:
+                await client.run()
+            finally:
+                await service.stop()
+            return recorder, service.counters()
+
+        recorder, counters = asyncio.run(_run())
+        assert [r.outcome for r in recorder.records] == [OUTCOME_ERROR] * 2
+        for record in recorder.records:
+            assert record.edge == "edge0"
+            assert record.correct is None
+            assert "cloud escalation failed" in record.detail["error"]
+        assert counters["served"] == 2 and counters["errors"] == 2
+        assert counters["hits"] == 0 and counters["misses"] == 0
+        assert counters["cache_entries"] == 0
 
 
 class TestRunnerValidation:

@@ -10,11 +10,15 @@ linked edges — lives here once, as factory fixtures:
   with the standard test config (or any config/seed override).
 * ``seeded_rng``   — independent ``numpy`` generators for tests that
   need their own deterministic randomness.
+* ``recorder_digest`` — the byte-exact record fingerprint every pinned
+  ``GOLDEN_*`` digest in the core tests is a value of.
 
 The hypothesis profile lives in ``tests/property/conftest.py`` so this
 file stays importable without hypothesis installed — only the property
 suite needs it.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -93,6 +97,22 @@ def make_deployment(make_spec, make_config):
         return ClusterDeployment(spec, config=config)
 
     return factory
+
+
+def _digest_records(recorder) -> str:
+    blob = repr([(r.task_kind, r.outcome, r.user, r.start_s.hex(),
+                  r.end_s.hex(), r.correct) for r in recorder.records])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.fixture
+def recorder_digest():
+    """``recorder -> sha256 hex`` over every record's observable fields.
+
+    Floats enter in their exact hex form, so two runs share a digest
+    only if their telemetry is byte-identical.
+    """
+    return _digest_records
 
 
 @pytest.fixture

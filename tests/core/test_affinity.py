@@ -8,8 +8,6 @@ golden digest pinning ``offload="least_loaded"`` byte-identical to the
 PR 3 balancer.
 """
 
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -33,13 +31,6 @@ from repro.core.scenario import (
     ScenarioSpec,
     WarmupSpec,
 )
-
-
-def recorder_digest(recorder) -> str:
-    """A byte-exact fingerprint of every record's observable fields."""
-    blob = repr([(r.task_kind, r.outcome, r.user, r.start_s.hex(),
-                  r.end_s.hex(), r.correct) for r in recorder.records])
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def vec(seed: int, dim: int = 128) -> np.ndarray:
@@ -297,7 +288,8 @@ class TestSummaryGossip:
         dep.run_for(3.0)
         assert dep.summaries_sent == 0
 
-    def test_gossip_and_offload_are_deterministic(self, affinity_dep):
+    def test_gossip_and_offload_are_deterministic(self, affinity_dep,
+                                                  recorder_digest):
         def one_run():
             dep = affinity_dep()
             tasks = [dep.recognition_task(cls, viewpoint=0.1 * i,
@@ -421,7 +413,8 @@ GOLDEN_LEAST_LOADED = \
 
 
 class TestLeastLoadedGoldenDigest:
-    def test_least_loaded_byte_identical_to_pr3_balancer(self):
+    def test_least_loaded_byte_identical_to_pr3_balancer(
+            self, recorder_digest):
         """offload="least_loaded" reproduces the PR 3 balancer exactly.
 
         Digest captured at commit 9e69ae5 (pre-affinity) on this

@@ -288,16 +288,6 @@ class TestPerItemThresholds:
 
 
 class TestStorageTiers:
-    def test_vector_dtype_validated(self):
-        with pytest.raises(ValueError):
-            ICCache(capacity_bytes=1000, vector_dtype="float16")
-
-    def test_int8_cache_still_matches(self):
-        cache = ICCache(capacity_bytes=1000, vector_dtype="int8",
-                        default_threshold=0.1)
-        cache.insert(vd([1, 0, 0]), "obj", 10)
-        assert cache.lookup(vd([0.99, 0.05, 0])) is not None
-
     def test_index_for_is_exact_or_fused_view(self):
         cache = ICCache(capacity_bytes=100_000)
         cache.insert(hd("aa"), "m", 10)
@@ -321,13 +311,3 @@ class TestStorageTiers:
                     cache.index_for("pano").memory_bytes()]
         assert per_kind[0] == per_kind[1]  # shared store, same bytes
         assert cache.index_memory_bytes() == per_kind[0]
-
-    def test_float64_cache_memory_doubles_float32(self):
-        def filled(dtype):
-            cache = ICCache(capacity_bytes=1_000_000, vector_dtype=dtype)
-            rng = np.random.default_rng(0)
-            for i in range(200):
-                cache.insert(vd(rng.normal(size=64)), i, 10)
-            return cache.index_memory_bytes()
-
-        assert filled("float32") <= 0.55 * filled("float64")

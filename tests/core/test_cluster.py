@@ -7,8 +7,6 @@ must keep producing byte-identical records (floats compared via their
 exact hex form).
 """
 
-import hashlib
-
 import pytest
 
 from repro.core import CoICConfig, CoICDeployment
@@ -24,13 +22,6 @@ from repro.core.scenario import (
 )
 
 
-def recorder_digest(recorder) -> str:
-    """A byte-exact fingerprint of every record's observable fields."""
-    blob = repr([(r.task_kind, r.outcome, r.user, r.start_s.hex(),
-                  r.end_s.hex(), r.correct) for r in recorder.records])
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 # Digests captured on the pre-refactor constructors (commit cb4e7b1)
 # for the exact workloads below.
 GOLDEN_SINGLE = \
@@ -42,7 +33,7 @@ GOLDEN_ISOLATED = \
 
 
 class TestSeedEquivalence:
-    def test_single_edge_facade_matches_pre_refactor(self):
+    def test_single_edge_facade_matches_pre_refactor(self, recorder_digest):
         cfg = CoICConfig(seed=3)
         cfg.network.wifi_mbps = 100
         cfg.network.backhaul_mbps = 10
@@ -63,7 +54,7 @@ class TestSeedEquivalence:
         ])
         assert recorder_digest(dep.recorder) == GOLDEN_SINGLE
 
-    def test_federated_facade_matches_pre_refactor(self):
+    def test_federated_facade_matches_pre_refactor(self, recorder_digest):
         cfg = CoICConfig(seed=7)
         cfg.network.wifi_mbps = 100
         cfg.network.backhaul_mbps = 10
@@ -82,7 +73,7 @@ class TestSeedEquivalence:
         fed.run_tasks(fed.clients[1][1], [fed.panorama_task(0, 4)])
         assert recorder_digest(fed.recorder) == GOLDEN_FEDERATED
 
-    def test_isolated_facade_matches_pre_refactor(self):
+    def test_isolated_facade_matches_pre_refactor(self, recorder_digest):
         fed = FederatedDeployment(CoICConfig(seed=7), n_edges=2,
                                   federate=False)
         fed.run_tasks(fed.clients[0][0], [fed.model_load_task(1)])
@@ -101,30 +92,28 @@ GOLDEN_METRO = \
     "822117df5d52f71e831f00081604d6be36be4e2ae372adb443d836195b6f6033"
 
 
-def default_metro_deployment(make_deployment, policy=None, config=None):
+def default_metro_digest(make_deployment, recorder_digest,
+                         policy=None) -> str:
+    from repro.eval.experiments.mobility_exp import drive_scenario
+
     mobility = MobilitySpec(n_places=16, mean_dwell_s=8.0,
                             duration_s=60.0, handoff_latency_s=0.05)
     spec = ScenarioSpec.metro(n_edges=4, clients_per_edge=1,
                               federate=True, mobility=mobility,
                               policy=policy)
-    return make_deployment(spec=spec, config=config)
-
-
-def default_metro_digest(make_deployment, policy=None, config=None) -> str:
-    from repro.eval.experiments.mobility_exp import drive_scenario
-
-    dep = default_metro_deployment(make_deployment, policy=policy,
-                                   config=config)
+    dep = make_deployment(spec=spec)
     drive_scenario(dep, 60.0, request_interval_s=2.0)
     return recorder_digest(dep.recorder)
 
 
 class TestMetroGoldenDigest:
-    def test_default_metro_matches_pre_layer_reuse(self, make_deployment):
-        assert default_metro_digest(make_deployment) == GOLDEN_METRO
+    def test_default_metro_matches_pre_layer_reuse(self, make_deployment,
+                                                   recorder_digest):
+        assert default_metro_digest(make_deployment,
+                                    recorder_digest) == GOLDEN_METRO
 
     def test_inert_policy_is_byte_identical_to_no_policy(
-            self, make_deployment):
+            self, make_deployment, recorder_digest):
         # EdgePolicySpec() — admission off, offload off, prewarm off,
         # layer_reuse=False — must not perturb the default chain: the
         # knobs added by the overload/affinity/layer-reuse layers only
@@ -132,10 +121,11 @@ class TestMetroGoldenDigest:
         from repro.core.scenario import EdgePolicySpec
 
         assert default_metro_digest(
-            make_deployment, policy=EdgePolicySpec()) == GOLDEN_METRO
+            make_deployment, recorder_digest,
+            policy=EdgePolicySpec()) == GOLDEN_METRO
 
-    def test_all_free_open_market_is_byte_identical(self,
-                                                    make_deployment):
+    def test_all_free_open_market_is_byte_identical(self, make_deployment,
+                                                    recorder_digest):
         # Declaring operators with zero prices and open consent wires
         # the FederationBroker into every probe order — and must not
         # move a byte: the broker filters and bills, it never re-ranks,
@@ -159,51 +149,6 @@ class TestMetroGoldenDigest:
         assert dep.broker is not None
         assert all(edge.broker is dep.broker for edge in dep.edges)
         assert all(entry.price == 0.0 for entry in dep.recorder.ledger)
-
-    def test_explicit_float64_compat_is_byte_identical(
-            self, make_deployment, make_config):
-        # Spelling out the compatibility dtype must be a no-op: the
-        # deployment default *is* float64 storage, and the fused linear
-        # core reproduces the historical per-kind arithmetic exactly.
-        config = make_config()
-        config.cache.vector_dtype = "float64"
-        assert default_metro_digest(make_deployment,
-                                    config=config) == GOLDEN_METRO
-
-    def test_threaded_lookup_fanout_is_byte_identical(
-            self, make_deployment, make_config):
-        # lookup_threads routes every same-tick batch lookup through
-        # the TickLookupFanout thread pool; telemetry must stay
-        # byte-identical to the sequential run.
-        from repro.eval.experiments.mobility_exp import drive_scenario
-
-        config = make_config()
-        config.lookup_threads = 2
-        dep = default_metro_deployment(make_deployment, config=config)
-        drive_scenario(dep, 60.0, request_interval_s=2.0)
-        assert recorder_digest(dep.recorder) == GOLDEN_METRO
-        # The fanout really was on the path: every flushed batch from
-        # every edge went through a wave.
-        assert dep.lookup_fanout is not None
-        assert dep.lookup_fanout.waves > 0
-        assert dep.lookup_fanout.fanned_out == \
-            sum(edge.lookup_batches for edge in dep.edges)
-
-
-class TestPolicyIndexOverrides:
-    def test_policy_overrides_reach_every_cache(self, make_deployment):
-        from repro.core.scenario import EdgePolicySpec
-
-        dep = make_deployment(policy=EdgePolicySpec(vector_dtype="float32"))
-        for cache in dep.caches:
-            assert cache.vector_dtype == "float32"
-
-    def test_empty_overrides_inherit_config(self, make_deployment):
-        from repro.core.scenario import EdgePolicySpec
-
-        dep = make_deployment(policy=EdgePolicySpec())
-        for cache in dep.caches:
-            assert cache.vector_dtype == "float64"
 
 
 class TestFacadeShape:
@@ -358,7 +303,8 @@ class TestMobility:
         # Initial attachments for everyone plus one entry per handoff.
         assert len(timeline) == len(dep.client_names) + len(dep.handoff_log)
 
-    def test_same_seed_same_attachment_timeline(self, make_deployment):
+    def test_same_seed_same_attachment_timeline(self, make_deployment,
+                                                recorder_digest):
         def run_once():
             dep = make_deployment(spec=metro_spec())
             dep.start_mobility()

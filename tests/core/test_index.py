@@ -134,16 +134,10 @@ class TestQueryBatch:
         probes = [vec("r", [1, 0]), vec("r", [0, 1])]
         assert LinearIndex().query_batch(probes, 2.0) == [None, None]
 
-    # Distance-value agreement between a (Q, N) gemm and a (1, N) gemm
-    # is dtype-bound: float64 wobble is ~1e-13, float32 ~1e-7.  Match
-    # *decisions* must agree exactly in every dtype.
-    DIST_TOL = {"float64": 1e-9, "float32": 1e-5, "int8": 1e-5}
-
-    @pytest.mark.parametrize("dtype", ["float64", "float32", "int8"])
-    def test_linear_batch_matches_sequential(self, dtype):
+    def test_linear_batch_matches_sequential(self):
         rng = np.random.default_rng(11)
         population = rng.normal(size=(60, 16))
-        index = LinearIndex(dtype=dtype)
+        index = LinearIndex()
         self._fill(index, population)
         probes = [vec("r", population[i] + rng.normal(0, 0.05, 16))
                   for i in range(20)]
@@ -155,8 +149,9 @@ class TestQueryBatch:
             assert (got is None) == (want is None)
             if got is not None:
                 assert got[0] == want[0]
-                assert got[1] == pytest.approx(want[1],
-                                               abs=self.DIST_TOL[dtype])
+                # Match decisions agree exactly; distances from a (Q, N)
+                # and a (1, N) float32 gemm wobble by ~1e-7.
+                assert got[1] == pytest.approx(want[1], abs=1e-5)
 
     def test_exact_batch_uses_sequential_fallback(self):
         index = ExactIndex()
@@ -176,9 +171,8 @@ class TestContiguousStore:
         for i, v in enumerate(population):
             index.insert(i, vec("r", v))
         assert len(index) == 300
-        # Every stored vector is still retrievable post-doubling.  The
-        # self-match distance floor is dtype-bound: ~1e-16 for float64
-        # storage, ~1e-7 for the default float32.
+        # Every stored vector is still retrievable post-doubling, within
+        # the float32 self-match distance floor (~1e-7).
         for i in (0, 63, 64, 150, 299):
             hit = index.query(vec("r", population[i]), threshold=1e-5)
             assert hit is not None and hit[1] <= 1e-5
@@ -205,34 +199,19 @@ class TestContiguousStore:
 
 
 class TestMemoryFootprint:
-    """The default store really is float32-sized — a silent regression
-    back to float64 storage doubles edge memory and must fail CI."""
+    """The store really is float32-sized — a silent regression to
+    8-byte storage doubles edge memory and must fail CI."""
 
-    DIM = 64
-
-    def _filled(self, dtype=None):
-        index = LinearIndex() if dtype is None else LinearIndex(dtype=dtype)
+    def test_store_bytes_are_float32(self):
+        capacity, dim = 512, 64
+        index = LinearIndex()
         rng = np.random.default_rng(11)
-        items = [(i, VectorDescriptor("r", rng.normal(size=self.DIM)))
-                 for i in range(512)]
-        index.insert_batch(items)
-        return index
-
-    def test_default_store_is_half_of_float64(self):
-        default = self._filled()
-        compat = self._filled(dtype="float64")
-        assert default._store.compute_dtype == np.dtype(np.float32)
-        # float32 matrix+norms are exactly half the float64 bytes; the
-        # int32 tag column is shared overhead.  0.55 leaves headroom
-        # for bookkeeping while any float64 regression (ratio ~1.0)
-        # fails loudly.
-        assert default.memory_bytes() <= 0.55 * compat.memory_bytes()
-
-    def test_int8_store_is_quarter_of_float32(self):
-        quantized = self._filled(dtype="int8")
-        default = self._filled()
-        # 1 B codes + per-row float32 scale/offset/norm vs 4 B floats.
-        assert quantized.memory_bytes() <= 0.35 * default.memory_bytes()
+        index.insert_batch([(i, VectorDescriptor("r", rng.normal(size=dim)))
+                            for i in range(capacity)])
+        # A one-burst fill allocates exactly ``capacity`` rows: float32
+        # matrix and norms, plus the int32 tag column.
+        assert index.memory_bytes() == (capacity * (dim + 1) * 4
+                                        + capacity * 4)
 
 
 class TestFusedSegments:
@@ -254,7 +233,7 @@ class TestFusedSegments:
 
     def test_interleaved_churn_keeps_segments_contiguous(self):
         rng = np.random.default_rng(5)
-        core = FusedLinearCore(dtype="float32")
+        core = FusedLinearCore()
         views = {k: core.view(k) for k in ("a", "b", "c")}
         entry = 0
         inserted = []
@@ -284,7 +263,7 @@ class TestFusedSegments:
 
     def test_queries_stay_scoped_after_churn(self):
         rng = np.random.default_rng(7)
-        core = FusedLinearCore(dtype="float32")
+        core = FusedLinearCore()
         targets = {}
         for code_kind in ("a", "b", "c"):
             view = core.view(code_kind)
@@ -304,8 +283,8 @@ class TestFusedSegments:
     def test_multi_query_matches_dedicated_per_kind_indexes(self):
         """Pruned fused answers == dedicated LinearIndex answers."""
         rng = np.random.default_rng(11)
-        core = FusedLinearCore(dtype="float32")
-        dedicated = {k: LinearIndex(dtype="float32") for k in ("x", "y")}
+        core = FusedLinearCore()
+        dedicated = {k: LinearIndex() for k in ("x", "y")}
         for offset, kind in ((0, "x"), (1000, "y")):
             view = core.view(kind)
             for j in range(150):

@@ -11,7 +11,6 @@ denied-consent guarantee that a refused peer is never even probed.
 """
 
 import dataclasses
-import hashlib
 
 import numpy as np
 import pytest
@@ -35,13 +34,6 @@ from repro.core.scenario import (
     ScenarioSpec,
     WarmupSpec,
 )
-
-
-def recorder_digest(recorder) -> str:
-    """A byte-exact fingerprint of every record's observable fields."""
-    blob = repr([(r.task_kind, r.outcome, r.user, r.start_s.hex(),
-                  r.end_s.hex(), r.correct) for r in recorder.records])
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def vec(seed: int, dim: int = 128) -> np.ndarray:
@@ -526,7 +518,8 @@ class TestOffloadBilling:
         assert dep.broker.settled == 1
 
     def test_free_market_offload_matches_no_market(self, make_spec,
-                                                   make_deployment):
+                                                   make_deployment,
+                                                   recorder_digest):
         # Inert-policy equality at offload scale: declaring all-free
         # operators must not move a single byte of telemetry.
         def digest(spec):

@@ -6,8 +6,6 @@ byte-for-byte on the CoIC and federated seed workloads (same digests as
 ``tests/core/test_cluster.py``, captured on commit cb4e7b1).
 """
 
-import hashlib
-
 import pytest
 
 from repro.core import CoICConfig, CoICDeployment
@@ -35,13 +33,6 @@ from repro.core.scenario import (
 )
 
 
-def recorder_digest(recorder) -> str:
-    """A byte-exact fingerprint of every record's observable fields."""
-    blob = repr([(r.task_kind, r.outcome, r.user, r.start_s.hex(),
-                  r.end_s.hex(), r.correct) for r in recorder.records])
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 # Digests captured on the pre-refactor (pre-pipeline) EdgeNode at
 # commit cb4e7b1, for the exact workloads below (identical to the
 # seed-equivalence suite in test_cluster.py).
@@ -59,7 +50,8 @@ def explicit_default_pipeline() -> Pipeline:
 class TestGoldenDigests:
     """The default chain reproduces the pre-refactor edge byte-identically."""
 
-    def test_explicit_chain_matches_pre_refactor_single_edge(self):
+    def test_explicit_chain_matches_pre_refactor_single_edge(
+            self, recorder_digest):
         cfg = CoICConfig(seed=3)
         cfg.network.wifi_mbps = 100
         cfg.network.backhaul_mbps = 10
@@ -83,7 +75,8 @@ class TestGoldenDigests:
         ])
         assert recorder_digest(dep.recorder) == GOLDEN_SINGLE
 
-    def test_explicit_chain_matches_pre_refactor_federated(self):
+    def test_explicit_chain_matches_pre_refactor_federated(
+            self, recorder_digest):
         cfg = CoICConfig(seed=7)
         cfg.network.wifi_mbps = 100
         cfg.network.backhaul_mbps = 10

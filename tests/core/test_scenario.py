@@ -217,6 +217,8 @@ class TestSerialization:
         (EdgePolicySpec, {"vector_dtyp": "float32"}, "vector_dtyp"),
         (MobilitySpec, {"n_places": 4, "dwell_s": 3.0}, "dwell_s"),
         (BackgroundTrafficSpec, {"period_s": 60.0, "peak": 0.2}, "peak"),
+        # A removed field: float32 is the only vector storage now.
+        (EdgePolicySpec, {"vector_dtype": "float32"}, "vector_dtype"),
     ])
     def test_from_dict_rejects_unknown_keys(self, cls, data, unknown):
         # A stale or misspelt key must fail loudly, not silently run a

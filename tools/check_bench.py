@@ -49,6 +49,25 @@ def check_federation_market(data: dict) -> None:
     assert rows["denied"]["credits_spent"] == 0
 
 
+def check_index_scaling(data: dict) -> None:
+    """Tier rows: per-kind and fused timings, exact fused recall, and
+    float32 storage only (no float64/int8 tier fields)."""
+    assert data["tier_rows"], "no tier rows"
+    for row in data["tier_rows"]:
+        entries = row["entries"]
+        for key in ("perkind_us_per_query", "fused_us_per_query",
+                    "memory_mb"):
+            value = row[key]
+            assert isinstance(value, (int, float)) and value > 0, (
+                f"{entries}.{key} = {value!r}")
+        assert row["fused_recall"] == 1.0, entries
+        stale = [key for key in row
+                 if key.startswith(("float64_", "int8_"))]
+        assert not stale, f"{entries}: removed-tier fields {stale}"
+    for key in ("commit", "python", "numpy", "nproc", "timing_reps"):
+        assert key in data["provenance"], f"provenance.{key} missing"
+
+
 def check_real_backend(data: dict) -> None:
     """Wall-clock rows well-formed across the three backends."""
     rows = {row["backend"]: row for row in data["rows"]}
@@ -70,6 +89,7 @@ def check_real_backend(data: dict) -> None:
 GUARDS = {
     "BENCH_city_scale.json": check_city_scale,
     "BENCH_federation_market.json": check_federation_market,
+    "BENCH_index_scaling.json": check_index_scaling,
     "BENCH_real_backend.json": check_real_backend,
 }
 
